@@ -167,6 +167,7 @@ def cmd_covering(args) -> int:
         lines.append(
             f"  z={r.z}: r={r.r} d={r.d} s={r.s} ell={r.ell} "
             f"k={r.k} b={r.b} contradiction={r.contradiction}"
+            + (f" ({r.reason})" if r.reason else "")
         )
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK

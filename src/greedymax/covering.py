@@ -51,8 +51,17 @@ class CoveringBoundReport:
     b: int | None = None
 
     @property
+    def reason(self) -> str | None:
+        """Why no covering with z blocks exists, or None if the test passes."""
+        if not self.D.is_graphical():
+            return "excess degree sequence is not graphical"
+        if self.b is not None and self.b > self.z:
+            return "b > z"
+        return None
+
+    @property
     def contradiction(self) -> bool:
-        return self.b is not None and self.b > self.z
+        return self.reason is not None
 
     def to_json(self) -> dict:
         return {
@@ -67,6 +76,7 @@ class CoveringBoundReport:
             "k": self.k,
             "b": self.b,
             "contradiction": self.contradiction,
+            "reason": self.reason,
         }
 
 
@@ -100,10 +110,19 @@ def excess_profile(params: CoveringParams, z: int) -> CoveringBoundReport:
 
 
 def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
+    """Test block count z; a contradiction means the covering number is at
+    least z + 1.
+
+    A non-graphical excess profile is a contradiction by itself, and b is
+    left unfilled.  The degree sum of the excess is fixed by z, and so is
+    its parity; among all replication profiles with that sum, the balanced
+    one tested here has the smallest maximum.  So if the balanced profile
+    fails "even sum and sum >= twice the maximum", every profile fails, and
+    no loopless excess multigraph, hence no covering with z blocks, exists.
+    Since kappa < v, r > lambda and k = r - lambda >= 1."""
     rep = excess_profile(params, z)
-    if rep.k < 1:
-        # r = lambda: the excess test degenerates, no contradiction possible
-        return replace(rep, b=0)
+    if not rep.D.is_graphical():
+        return rep
     return replace(rep, b=omega_b(rep.D, rep.k).b)
 
 

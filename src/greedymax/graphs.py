@@ -10,13 +10,14 @@ exactly.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InputError, LimitError
 from .multiset import DegreeSequence
-from .omega import decrement_sequence, omega
+from .omega import reduction_chain
 
 WORST_CASE_MAX_ORDER = 9
 
@@ -210,41 +211,41 @@ def construct_worst_case(
     """Multigraph with degree sequence D plus a legal deletion script whose
     survivor count is exactly the omega-chain bound.
 
-    Recursion: build a witness for the reduced sequence, append a new
-    maximum-degree vertex, and wire it back along the reversed decrement
-    schedule, always attaching to the lowest-index vertex of the needed
-    degree."""
+    Walks the reduction chain D = D_0, D_1, ..., D_j down to the last term
+    whose reduction is trivial, realizes D_j directly (one deletion finishes
+    its run), then rebuilds D_{j-1}, ..., D_0: each level appends a new
+    maximum-degree vertex and wires it back along the reversed first m
+    entries of that level's decrement schedule, always attaching to the
+    lowest-index vertex of the needed degree."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if not D.is_graphical():
         raise InputError("input is not graphical")
     if D.is_trivial(k):
         return realize(D), []
-    red = omega(D, k)
-    if red.is_trivial(k):
-        # every reduction of D is trivial; one deletion finishes the run
-        G = realize(D)
-        deg = G.degrees()
-        v = deg.index(max(deg))
-        return G, [v]
-    trace = decrement_sequence(D, k)
-    sub, sub_script = construct_worst_case(red, k)
-    m = trace.m
-    n = len(D)
-    u = n - 1  # the new maximum-degree vertex
-    edges = {key: mult for key, mult in sub.edges}
-    deg = sub.degrees() + [0]
-    # replay the first m decrements in reverse: at level i the new vertex
-    # has degree m - i - 1 and gains an edge to a vertex of degree a_{i+1}-1
-    for i in range(m - 1, -1, -1):
-        want = trace.a[i] - 1
-        target = next(v for v in range(n - 1) if deg[v] == want)
-        key = (min(u, target), max(u, target))
-        edges[key] = edges.get(key, 0) + 1
-        deg[target] += 1
-        deg[u] += 1
-    G = Multigraph(n, tuple(sorted(edges.items())))
-    return G, [u] + sub_script
+    heads: list[list[int]] = []
+    chain = reduction_chain(D, k, heads)
+    j = len(chain) - 2  # chain[j] is the last nontrivial term
+    G = realize(chain[j])
+    deg = G.degrees()
+    script = [len(D) - 1 - i for i in range(j)] + [deg.index(max(deg))]
+    edges = dict(G.edges)
+    # vertices by degree, lowest index first
+    buckets: dict[int, list[int]] = {}
+    for v, d in enumerate(deg):
+        heapq.heappush(buckets.setdefault(d, []), v)
+    for head in reversed(heads[:j]):
+        u = len(deg)  # the new maximum-degree vertex
+        # replay the first m decrements in reverse: the i-th of them gives
+        # the new vertex an edge to a vertex of degree a_i - 1
+        for want in reversed(head):
+            target = heapq.heappop(buckets[want - 1])
+            edges[(target, u)] = edges.get((target, u), 0) + 1
+            deg[target] = want
+            heapq.heappush(buckets.setdefault(want, []), target)
+        deg.append(len(head))
+        heapq.heappush(buckets.setdefault(len(head), []), u)
+    return Multigraph(len(D), tuple(sorted(edges.items()))), script
 
 
 def random_rewiring(

@@ -10,60 +10,136 @@ k-independent set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .errors import InputError
 from .multiset import DegreeSequence
 
 
-class _DecrementState:
-    """Mutable multiset supporting the decrement schedule in O(1) amortized.
+class _Blocks:
+    """Multiset state for the decrement schedule, kept as runs of equal values.
 
-    Multiplicities live in an array indexed by value; the maximum pointer
-    only moves down and the smallest-positive pointer is repaired by short
-    scans, so a run of s decrements costs O(s + max)."""
+    ``blocks`` holds the (value, multiplicity) pairs of the positive values
+    in increasing order and ``zeros`` counts the zero elements; ``order``
+    and ``total`` are updated in O(1) per change.  The schedule only ever
+    moves whole runs: above k the top block of multiplicity c drops one
+    level per c decrements, and at or below k the smallest positive element
+    falls straight to 0.  ``decrement`` therefore applies a budget of t
+    decrements in closed form, one block at a time, and its cost does not
+    depend on t or on the size of the values."""
+
+    __slots__ = ("blocks", "zeros", "order", "total")
 
     def __init__(self, D: DegreeSequence):
-        top = D.max_value if len(D) else 0
-        self.mult = [0] * (top + 1)
-        for v, m in D.items:
-            self.mult[v] = m
-        self.cur_max = top
-        self._fix_max()
-        self.cur_min = 1
-        self._fix_min()
+        items = D.items
+        self.zeros = items[0][1] if items and items[0][0] == 0 else 0
+        self.blocks = deque(items[1:] if self.zeros else items)
+        self.order = len(D)
+        self.total = D.total
 
-    def _fix_max(self) -> None:
-        while self.cur_max > 0 and self.mult[self.cur_max] == 0:
-            self.cur_max -= 1
+    @property
+    def top(self) -> int:
+        """Largest element, 0 when no element is positive."""
+        return self.blocks[-1][0] if self.blocks else 0
 
-    def _fix_min(self) -> None:
-        while self.cur_min <= self.cur_max and self.mult[self.cur_min] == 0:
-            self.cur_min += 1
+    def is_graphical(self) -> bool:
+        return self.total % 2 == 0 and self.total >= 2 * self.top
 
-    def max_value(self) -> int:
-        return self.cur_max
+    def sequence(self) -> DegreeSequence:
+        items = tuple(self.blocks)
+        return DegreeSequence(((0, self.zeros),) + items if self.zeros else items)
 
-    def decrement_once(self, k: int) -> int:
-        """Apply one scheduled decrement; returns the value decremented."""
-        if self.cur_max > k:
-            x = self.cur_max
+    def drop_max(self) -> int:
+        """Remove one copy of the maximum and return its value."""
+        self.order -= 1
+        if not self.blocks:
+            self.zeros -= 1
+            return 0
+        v, c = self.blocks.pop()
+        if c > 1:
+            self.blocks.append((v, c - 1))
+        self.total -= v
+        return v
+
+    def degenerate(self, m: int, k: int) -> bool:
+        """True when, after dropping the maximum m, the reduction is forced
+        to all zeros."""
+        return self.total < m + 2 * k or self.top < k
+
+    def reduce(self, k: int, runs: list | None = None) -> None:
+        """One application of the operator, in place."""
+        m = self.drop_max()
+        if self.degenerate(m, k):
+            self.zeros, self.total = self.order, 0
+            self.blocks.clear()
         else:
-            if self.cur_min > self.cur_max:
-                raise InputError("no positive element")
-            x = self.cur_min
-        self.mult[x] -= 1
-        self.mult[x - 1] += 1
-        self._fix_max()
-        if x - 1 >= 1:
-            self.cur_min = min(self.cur_min, x - 1)
-        self._fix_min()
-        return x
+            self.decrement(m, k, runs)
 
-    def snapshot(self) -> DegreeSequence:
-        return DegreeSequence.from_counts(
-            {v: m for v, m in enumerate(self.mult) if m}
-        )
+    def decrement(self, t: int, k: int, runs: list | None = None) -> None:
+        """Apply the next t scheduled decrements.
+
+        If ``runs`` is a list, the decremented values are appended to it as
+        runs (hi, lo, each, times): the values hi, hi-1, ..., lo+1, each
+        repeated ``each`` times, the whole repeated ``times`` times."""
+        blocks = self.blocks
+        self.total -= t
+        while t:
+            if not blocks:
+                raise InputError("no positive element")
+            v, c = blocks[-1]
+            if v > k:
+                # the top block sinks to the next value or to k
+                below = blocks[-2][0] if len(blocks) > 1 else 0
+                floor = max(below, k)
+                q, r = divmod(t, c)
+                blocks.pop()
+                if q < v - floor:
+                    # q whole levels, then r copies one level further
+                    if r and v - q - 1 == below:
+                        blocks[-1] = (below, blocks[-1][1] + r)
+                    elif r:
+                        blocks.append((v - q - 1, r))
+                    blocks.append((v - q, c - r))
+                    if runs is not None:
+                        runs.append((v, v - q, c, 1))
+                        runs.append((v - q, v - q - 1, r, 1))
+                    return
+                t -= c * (v - floor)
+                if floor == below:
+                    blocks[-1] = (below, blocks[-1][1] + c)
+                else:
+                    blocks.append((floor, c))
+                if runs is not None:
+                    runs.append((v, floor, c, 1))
+            else:
+                # the smallest positive elements fall to 0 one at a time
+                x, c = blocks.popleft()
+                q, r = divmod(t, x)
+                if q < c:
+                    self.zeros += q
+                    left = c - q - (r > 0)
+                    if left:
+                        blocks.appendleft((x, left))
+                    if r:
+                        blocks.appendleft((x - r, 1))
+                    if runs is not None:
+                        runs.append((x, 0, 1, q))
+                        runs.append((x, x - r, 1, 1))
+                    return
+                t -= c * x
+                self.zeros += c
+                if runs is not None:
+                    runs.append((x, 0, 1, c))
+
+
+def _expand(runs: list) -> list[int]:
+    """The decremented values recorded by ``_Blocks.decrement``, in order."""
+    out: list[int] = []
+    for hi, lo, each, times in runs:
+        seg = [v for v in range(hi, lo, -1) for _ in range(each)]
+        out.extend(seg * times)
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,7 +176,6 @@ class BTrace:
     chain: tuple[DegreeSequence, ...]
     p: int
     b: int
-    steps: tuple[DecrementTrace, ...] = field(default=(), repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -111,31 +186,21 @@ class BTrace:
         }
 
 
-def _zeros(n: int) -> DegreeSequence:
-    return DegreeSequence.from_counts({0: n}) if n else DegreeSequence(())
-
-
-def _is_degenerate(D: DegreeSequence, a0: DegreeSequence, k: int) -> bool:
-    m = D.max_value
-    return a0.total < m + 2 * k or len(a0) == 0 or a0.max_value < k
+def _check_reducible(D: DegreeSequence, k: int) -> None:
+    if k < 1:
+        raise InputError("k must be a positive integer")
+    if not D.items:
+        raise InputError("cannot reduce the empty sequence")
+    if not D.is_graphical():
+        raise InputError("input is not graphical")
 
 
 def omega(D: DegreeSequence, k: int) -> DegreeSequence:
     """One application of the reduction operator (order drops by one)."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    if len(D) == 0:
-        raise InputError("cannot reduce the empty sequence")
-    if not D.is_graphical():
-        raise InputError("input is not graphical")
-    m = D.max_value
-    a0 = D.without_one(m)
-    if _is_degenerate(D, a0, k):
-        return _zeros(len(D) - 1)
-    state = _DecrementState(a0)
-    for _ in range(m):
-        state.decrement_once(k)
-    return state.snapshot()
+    _check_reducible(D, k)
+    state = _Blocks(D)
+    state.reduce(k)
+    return state.sequence()
 
 
 def decrement_sequence(
@@ -145,56 +210,70 @@ def decrement_sequence(
 
     In the degenerate branch (reduction forced to all zeros) the schedule
     is unused and returned empty."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    if len(D) == 0:
-        raise InputError("cannot reduce the empty sequence")
-    if not D.is_graphical():
-        raise InputError("input is not graphical")
+    _check_reducible(D, k)
     if D.is_trivial(k):
         raise InputError("input is trivial")
-    m = D.max_value
-    a0 = D.without_one(m)
-    if _is_degenerate(D, a0, k):
+    state = _Blocks(D)
+    m = state.drop_max()
+    a0 = state.sequence()
+    s = state.total
+    if state.degenerate(m, k):
+        # a nontrivial graphical D has at least two elements
         return DecrementTrace(
-            k=k, input=D, m=m, a0=a0, s=a0.total, a=(),
-            omega=_zeros(len(D) - 1), degenerate=True,
+            k=k, input=D, m=m, a0=a0, s=s, a=(),
+            omega=DegreeSequence(((0, len(D) - 1),)), degenerate=True,
         )
-    state = _DecrementState(a0)
-    s = a0.total
-    a: list[int] = []
-    inter: list[DegreeSequence] = [a0] if keep_intermediates else []
-    result = None
-    for i in range(1, s + 1):
-        a.append(state.decrement_once(k))
-        if keep_intermediates:
-            inter.append(state.snapshot())
-        if i == m:
-            result = state.snapshot()
-    assert result is not None  # s >= m + 2k > m in the non-degenerate branch
+    runs: list = []
+    inter: list[DegreeSequence] = []
+    if keep_intermediates:
+        inter.append(a0)
+        for _ in range(s):
+            state.decrement(1, k, runs)
+            inter.append(state.sequence())
+        result = inter[m]
+    else:
+        state.decrement(m, k, runs)
+        result = state.sequence()
+        state.decrement(s - m, k, runs)
     return DecrementTrace(
-        k=k, input=D, m=m, a0=a0, s=s, a=tuple(a),
+        k=k, input=D, m=m, a0=a0, s=s, a=tuple(_expand(runs)),
         omega=result, degenerate=False, intermediates=tuple(inter),
     )
 
 
-def b(D: DegreeSequence, k: int, keep_steps: bool = False) -> BTrace:
+def reduction_chain(
+    D: DegreeSequence, k: int, heads: list | None = None
+) -> list[DegreeSequence]:
+    """D, O(D), O^2(D), ... down to the first trivial term.
+
+    One block state is carried along the whole chain.  If ``heads`` is a
+    list, the first m entries of each step's decrement schedule (the ones
+    that define the reduced sequence) are appended to it, one list per
+    step.  The caller checks that k >= 1 and that D is graphical."""
+    state = _Blocks(D)
+    chain = [D]
+    while state.top >= k:
+        if not state.is_graphical():
+            raise InputError("input is not graphical")
+        runs = None if heads is None else []
+        state.reduce(k, runs)
+        if heads is not None:
+            heads.append(_expand(runs))
+        chain.append(state.sequence())
+    return chain
+
+
+def b(D: DegreeSequence, k: int) -> BTrace:
     """Worst-case greedy k-independent set size over realizations of D.
 
-    Runs the reduction chain until the first trivial term; only the first
-    max(D) decrements are performed per application, so the whole chain
-    costs O(sum(D) + n)."""
+    Runs the reduction chain until the first trivial term.  Each step costs
+    O(d) for a term with d distinct values (the blocks the schedule touches,
+    plus the copy kept in the chain), so a chain of p <= n steps costs
+    O(p * d), whatever the size of the degrees."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if not D.is_graphical():
         raise InputError("input is not graphical")
-    chain = [D]
-    steps: list[DecrementTrace] = []
-    cur = D
-    while not cur.is_trivial(k):
-        if keep_steps:
-            steps.append(decrement_sequence(cur, k))
-        cur = omega(cur, k)
-        chain.append(cur)
+    chain = reduction_chain(D, k)
     p = len(chain) - 1
-    return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p, steps=tuple(steps))
+    return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p)

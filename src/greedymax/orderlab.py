@@ -132,7 +132,9 @@ def precedes(
     if D.total < E.total or (D.total - E.total) % 2 != 0:
         return False
     target_sum = D.total
-    max_elem = (E.max_value if len(E) else 0) + (target_sum - E.total) // 2
+    # a transfer never raises the maximum above max(current maximum, k),
+    # and each of the (sum(D) - sum(E))/2 additions raises it by at most 1
+    max_elem = max(E.max_value if len(E) else 0, k) + (target_sum - E.total) // 2
     start = tuple(E.values())
     goal = tuple(D.values())
     seen = {start}

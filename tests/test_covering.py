@@ -146,3 +146,34 @@ def test_apply_bound_fills_b():
     rep = apply_bound(CoveringParams(50, 14, 1), 16)
     assert rep.b == 17
     assert rep.to_json()["contradiction"] is True
+
+
+@pytest.mark.parametrize(
+    "kappa,v,start,final",
+    [(19, 91, 24, 28), (19, 271, 214, 219), (11, 41, 15, 18), (11, 81, 59, 62)],
+)
+def test_d0_cells_start_with_a_non_graphical_excess(kappa, v, start, final):
+    # d = 0 and, at the Schönheim bound, ell = 1 and s = 0: one point lies in
+    # one block more than the others, so the excess is {kappa-1, 0 x (v-1)}.
+    # Its only positive degree has no neighbour to go to, and every other
+    # replication profile with the same degree sum has a maximum at least as
+    # large, so no covering with `start` blocks exists.
+    params = CoveringParams(v, kappa, 1)
+    assert schonheim(v, kappa, 1) == start
+    bound, reports = covering_lower_bound(params, start)
+    first = reports[0]
+    assert first.D == make_degree_sequence([kappa - 1] + [0] * (v - 1))
+    assert first.b is None and first.contradiction
+    assert first.to_json()["reason"] == "excess degree sequence is not graphical"
+    # the next block counts fail by b > z; the points of zero excess
+    # always survive, which alone gives b > z for the smaller z
+    for rep in reports[1:-1]:
+        assert rep.D.is_graphical() and rep.b > rep.z
+        assert rep.to_json()["reason"] == "b > z"
+    assert bound == final and reports[-1].z == final
+    assert reports[-1].to_json()["reason"] is None
+
+
+def test_scan_table_covers_d0_cells():
+    rows = {(r.kappa, r.v): r.new for r in scan_table(11, 11)}
+    assert rows[(11, 41)] == 18 and rows[(11, 81)] == 62

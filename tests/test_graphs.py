@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from conftest import random_graphical
+from greedymax.cli import main
 from greedymax.errors import InputError, LimitError
 from greedymax.graphs import (
     Multigraph,
@@ -189,3 +192,16 @@ def test_multigraph_json_round_trip():
 
 def test_lowest_index_chooser():
     assert lowest_index_chooser([4, 2, 7]) == 2
+
+
+def test_construct_long_chain_without_recursion(capsys):
+    # 3000 ones at k=1: the reduction chain has 1500 steps
+    D = make_degree_sequence([1] * 3000)
+    G, script = construct_worst_case(D, 1)
+    survivors, _ = max_run(G, 1, make_scripted_chooser(script))
+    assert len(survivors) == b(D, 1).b == 1500
+    assert degree_sequence_of(G) == D
+    code = main(["--format", "json", "construct", "--k", "1",
+                 "--degrees", ",".join(["1"] * 3000)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["b"] == 1500

@@ -203,3 +203,11 @@ def test_applicable_steps_match_direct_application():
                 assert addition_step(E, step.x, step.y) == out
             else:
                 assert transfer_step(E, step.x, step.y, 2) == out
+
+
+def test_precedes_reaches_a_maximum_raised_by_a_transfer():
+    # the (1,3)-transfer with x < y <= k turns {1,1,2,2} into {0,1,2,3}: the
+    # maximum rises to k although no addition step is taken
+    D = make_degree_sequence([0, 1, 2, 3])
+    E = make_degree_sequence([1, 1, 2, 2])
+    assert precedes(D, E, 3)
