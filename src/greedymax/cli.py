@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import covering, graphs, loops, orderlab
@@ -44,6 +45,11 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from exc
+
+
+def _section(data, key: str):
+    """data[key] when data is a whole ``construct`` output, else data."""
+    return data[key] if isinstance(data, dict) and key in data else data
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -104,7 +110,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    G = graphs.Multigraph.from_json(_load_json(args.graph))
+    # --graph and --script take either their own files or one construct output
+    G = graphs.Multigraph.from_json(_section(_load_json(args.graph), "graph"))
     if args.exhaustive:
         size, script = graphs.max_worst_case(G, args.k)
         payload = {"k": args.k, "worst_case": size, "script": script}
@@ -112,7 +119,9 @@ def cmd_verify(args) -> int:
     else:
         chooser = None
         if args.script:
-            data = _load_json(args.script)
+            data = _section(_load_json(args.script), "script")
+            if not isinstance(data, dict):
+                raise InputError(f"malformed deletion script JSON in {args.script}")
             chooser = graphs.make_scripted_chooser(data.get("deletions", []))
         survivors, log = graphs.max_run(G, args.k, chooser)
         payload = {
@@ -297,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except BrokenPipeError:
+        # the reader stopped early (e.g. `| head`); send the rest of stdout,
+        # and the interpreter's final flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

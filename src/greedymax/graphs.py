@@ -12,16 +12,72 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InputError, LimitError
 from .multiset import DegreeSequence
-from .omega import reduction_chain
+from .omega import check_degree_sum, reduction_chain
 
 WORST_CASE_MAX_ORDER = 9
 
 Chooser = Callable[[Sequence[int]], int]
+
+
+class _DegreeIndex:
+    """Vertices bucketed by degree, shared by realize, max_run and
+    construct_worst_case.
+
+    ``deg[v]`` is the current degree of v, ``buckets[d]`` a min-heap of the
+    vertices of degree d (so the lowest index pops first) and ``levels`` a
+    max-heap, stored negated, of the degrees that have a bucket.  Each
+    caller moves every vertex one way only (degrees fall in realize and
+    max_run and rise in construct_worst_case), so an entry that ``push``
+    leaves behind in the old bucket never becomes valid again; ``members``
+    drops such entries."""
+
+    __slots__ = ("deg", "buckets", "levels")
+
+    def __init__(self, deg: list[int]):
+        self.deg = deg
+        self.buckets: dict[int, list[int]] = {}
+        for v, d in enumerate(deg):
+            # ascending v: each bucket is built sorted, which is a heap
+            self.buckets.setdefault(d, []).append(v)
+        self.levels = [-d for d in self.buckets]
+        heapq.heapify(self.levels)
+
+    def top(self) -> int:
+        """Highest degree whose bucket is not empty, -1 when there is none;
+        empty buckets found on the way are removed."""
+        levels, buckets = self.levels, self.buckets
+        while levels and not buckets[-levels[0]]:
+            del buckets[-heapq.heappop(levels)]
+        return -levels[0] if levels else -1
+
+    def pop(self, d: int) -> int:
+        """Remove and return the lowest vertex in bucket d."""
+        return heapq.heappop(self.buckets[d])
+
+    def push(self, v: int, d: int) -> None:
+        """Give v degree d and file it in bucket d."""
+        self.deg[v] = d
+        bucket = self.buckets.get(d)
+        if bucket is None:
+            self.buckets[d] = [v]
+            heapq.heappush(self.levels, -d)
+        else:
+            heapq.heappush(bucket, v)
+
+    def members(self, d: int) -> list[int]:
+        """Bucket d itself, cut down to the vertices whose degree is d and
+        sorted ascending."""
+        deg = self.deg
+        live = [v for v in self.buckets[d] if deg[v] == d]
+        live.sort()
+        self.buckets[d] = live
+        return live
 
 
 @dataclass(frozen=True)
@@ -49,9 +105,6 @@ class Multigraph:
             key = (min(u, v), max(u, v))
             acc[key] = acc.get(key, 0) + int(m)
         return Multigraph(n, tuple(sorted(acc.items())))
-
-    def degree(self, v: int) -> int:
-        return sum(m for (a, b), m in self.edges if v in (a, b))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -84,22 +137,28 @@ def degree_sequence_of(G: Multigraph) -> DegreeSequence:
 
 def realize(D: DegreeSequence) -> Multigraph:
     """Deterministic multigraph with degree sequence D: repeatedly join the
-    two vertices of largest residual degree (ties to the lowest index)."""
+    two vertices of largest residual degree (ties to the lowest index).
+
+    Each unit edge costs two pops and two pushes on the residual-degree
+    index, so the whole realization costs O(n + sum(D) log n)."""
     if not D.is_graphical():
         raise InputError("input is not graphical")
-    residual = sorted(D.values(), reverse=True)
-    n = len(residual)
+    # vertices are labelled by decreasing degree, so the positive degrees
+    # come first; zero-degree vertices, and any vertex whose residual
+    # reaches 0, stay out of the index
+    index = _DegreeIndex([d for d, c in reversed(D.items) if d for _ in range(c)])
     edges: dict[tuple[int, int], int] = {}
-    while True:
-        order = sorted(range(n), key=lambda i: (-residual[i], i))
-        if not order or residual[order[0]] == 0:
-            break
-        u, v = order[0], order[1]
-        key = (min(u, v), max(u, v))
+    while (top := index.top()) > 0:
+        u = index.pop(top)
+        second = index.top()
+        v = index.pop(second)
+        key = (u, v) if u < v else (v, u)
         edges[key] = edges.get(key, 0) + 1
-        residual[u] -= 1
-        residual[v] -= 1
-    return Multigraph(n, tuple(sorted(edges.items())))
+        if top > 1:
+            index.push(u, top - 1)
+        if second > 1:
+            index.push(v, second - 1)
+    return Multigraph(len(D), tuple(sorted(edges.items())))
 
 
 def delete_vertex(G: Multigraph, v: int) -> Multigraph:
@@ -124,7 +183,9 @@ def lowest_index_chooser(candidates: Sequence[int]) -> int:
 
 
 def make_scripted_chooser(script: Sequence[int]) -> Chooser:
-    """Chooser that replays a fixed deletion script (original vertex labels)."""
+    """Chooser that replays a fixed deletion script (original vertex labels).
+
+    It expects the candidates in ascending order, as max_run passes them."""
     it = iter(script)
 
     def choose(candidates: Sequence[int]) -> int:
@@ -132,7 +193,8 @@ def make_scripted_chooser(script: Sequence[int]) -> Chooser:
             v = next(it)
         except StopIteration:
             raise InputError("deletion script exhausted before the run finished")
-        if v not in candidates:
+        i = bisect_left(candidates, v) if isinstance(v, int) else len(candidates)
+        if i == len(candidates) or candidates[i] != v:
             raise InputError(f"scripted vertex {v} is not of maximum degree")
         return v
 
@@ -145,27 +207,38 @@ def max_run(
     """One application of the greedy deletion algorithm.
 
     Returns (surviving vertex list, log of (deleted vertex, degree at
-    deletion)).  Vertices keep their original labels throughout."""
+    deletion)).  Vertices keep their original labels throughout.  The alive
+    vertices sit in a degree index, so after O(n + |E|) set-up a deletion
+    costs O(log n) per edge of the deleted vertex plus the length of the
+    candidate list, instead of a scan over all n vertices."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if chooser is None:
         chooser = lowest_index_chooser
     adj = G.adjacency()
-    deg = G.degrees()
-    alive = set(range(G.n))
+    index = _DegreeIndex(G.degrees())
+    deg = index.deg
     log: list[tuple[int, int]] = []
-    while alive:
-        delta = max(deg[v] for v in alive)
+    while True:
+        delta = index.top()
         if delta < k:
             break
-        candidates = sorted(v for v in alive if deg[v] == delta)
-        v = chooser(candidates)
-        alive.remove(v)
-        for u, m in adj[v].items():
-            if u in alive:
-                deg[u] -= m
-        log.append((v, delta))
-    return sorted(alive), log
+        # no degree rises, so bucket delta only loses vertices from here on
+        bucket = index.members(delta)
+        while bucket:
+            v = chooser(bucket[:])
+            bucket.remove(v)
+            deg[v] = -1  # deleted: matches no bucket
+            for u, m in adj[v].items():
+                d = deg[u]
+                if d == delta:
+                    del bucket[bisect_left(bucket, u)]
+                if d - m >= k:
+                    index.push(u, d - m)
+                elif d >= 0:
+                    deg[u] = d - m  # alive, but never a candidate again
+            log.append((v, delta))
+    return [v for v in range(G.n) if deg[v] >= 0], log
 
 
 def max_worst_case(
@@ -216,35 +289,33 @@ def construct_worst_case(
     its run), then rebuilds D_{j-1}, ..., D_0: each level appends a new
     maximum-degree vertex and wires it back along the reversed first m
     entries of that level's decrement schedule, always attaching to the
-    lowest-index vertex of the needed degree."""
+    lowest-index vertex of the needed degree.  Raises LimitError when
+    sum(D) exceeds MAX_DEGREE_SUM."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if not D.is_graphical():
         raise InputError("input is not graphical")
+    check_degree_sum(D)
     if D.is_trivial(k):
         return realize(D), []
     heads: list[list[int]] = []
     chain = reduction_chain(D, k, heads)
     j = len(chain) - 2  # chain[j] is the last nontrivial term
     G = realize(chain[j])
-    deg = G.degrees()
+    index = _DegreeIndex(G.degrees())
+    deg = index.deg
     script = [len(D) - 1 - i for i in range(j)] + [deg.index(max(deg))]
     edges = dict(G.edges)
-    # vertices by degree, lowest index first
-    buckets: dict[int, list[int]] = {}
-    for v, d in enumerate(deg):
-        heapq.heappush(buckets.setdefault(d, []), v)
     for head in reversed(heads[:j]):
         u = len(deg)  # the new maximum-degree vertex
         # replay the first m decrements in reverse: the i-th of them gives
         # the new vertex an edge to a vertex of degree a_i - 1
         for want in reversed(head):
-            target = heapq.heappop(buckets[want - 1])
+            target = index.pop(want - 1)
             edges[(target, u)] = edges.get((target, u), 0) + 1
-            deg[target] = want
-            heapq.heappush(buckets.setdefault(want, []), target)
+            index.push(target, want)
         deg.append(len(head))
-        heapq.heappush(buckets.setdefault(len(head), []), u)
+        index.push(u, len(head))
     return Multigraph(len(D), tuple(sorted(edges.items()))), script
 
 

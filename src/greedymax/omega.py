@@ -13,8 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, LimitError
 from .multiset import DegreeSequence
+
+# Largest degree sum accepted by the routines whose output or work grows
+# with it: decrement_sequence (the schedule a has about sum(D) entries) and
+# graphs.construct_worst_case (one edge unit per unit of degree).
+MAX_DEGREE_SUM = 2**21
 
 
 class _Blocks:
@@ -195,6 +200,14 @@ def _check_reducible(D: DegreeSequence, k: int) -> None:
         raise InputError("input is not graphical")
 
 
+def check_degree_sum(D: DegreeSequence) -> None:
+    """Raise LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
+    if D.total > MAX_DEGREE_SUM:
+        raise LimitError(
+            f"degree sum {D.total} exceeds guard {MAX_DEGREE_SUM}"
+        )
+
+
 def omega(D: DegreeSequence, k: int) -> DegreeSequence:
     """One application of the reduction operator (order drops by one)."""
     _check_reducible(D, k)
@@ -209,10 +222,12 @@ def decrement_sequence(
     """The full decrement schedule (a_1, ..., a_s) of D, with s = sum(A_0).
 
     In the degenerate branch (reduction forced to all zeros) the schedule
-    is unused and returned empty."""
+    is unused and returned empty.  Raises LimitError when sum(D) exceeds
+    MAX_DEGREE_SUM."""
     _check_reducible(D, k)
     if D.is_trivial(k):
         raise InputError("input is trivial")
+    check_degree_sum(D)
     state = _Blocks(D)
     m = state.drop_max()
     a0 = state.sequence()

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import greedymax
 from greedymax.cli import main
 from greedymax.graphs import Multigraph
 
@@ -79,6 +83,15 @@ def test_construct_verify_round_trip(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["size"] == 4
 
+    # the README form: the whole construct output as both graph and script
+    whole_file = tmp_path / "w.json"
+    whole_file.write_text(json.dumps(payload))
+    code, whole_out, _ = run(
+        capsys, "--format", "json", "verify", "--k", "3",
+        "--graph", str(whole_file), "--script", str(whole_file),
+    )
+    assert code == 0 and whole_out == out
+
     code, out, _ = run(
         capsys, "--format", "json", "verify", "--k", "3",
         "--graph", str(graph_file), "--exhaustive",
@@ -101,6 +114,45 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "verify", "--k", "1", "--graph", str(bad))
     assert code == 2
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
+    script = tmp_path / "s.json"
+    for text in ("[0]", '{"deletions": ["0"]}'):
+        script.write_text(text)
+        code, _, err = run(
+            capsys, "verify", "--k", "1", "--graph", str(graph), "--script", str(script)
+        )
+        assert code == 2 and "script" in err
+
+
+def test_trace_and_construct_degree_sum_guard(capsys):
+    degrees = "2147483646,2147483646,2"
+    for cmd in ("trace", "construct"):
+        code, out, err = run(capsys, cmd, "--k", "1", "--degrees", degrees)
+        assert code == 3 and out == ""
+        assert "degree sum 4294967294 exceeds guard 2097152" in err
+    code, _, _ = run(capsys, "bound", "--k", "1", "--degrees", degrees)
+    assert code == 0
+
+
+def test_closed_pipe_exits_quietly():
+    # the read end is closed before the command starts, so its first write
+    # of the buffered CSV (about 34 KB) fails while covering-scan prints
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(greedymax.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "greedymax.cli", "--format", "csv",
+             "covering-scan", "--kappa-min", "14", "--kappa-max", "20"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    # no traceback, and no "Exception ignored" from the final flush either
+    assert done.stderr == b""
 
 
 def test_lab_precedes(capsys):
