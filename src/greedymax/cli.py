@@ -16,27 +16,13 @@ import sys
 
 from . import covering, graphs, loops, orderlab
 from .errors import InputError, LimitError
-from .multiset import DegreeSequence, parse_degrees, render_ferrers
+from .multiset import parse_degrees, render_ferrers
 from .omega import b as omega_b
 from .omega import decrement_sequence, omega
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-
-
-def _parse_degree_arg(text: str) -> DegreeSequence:
-    """Accept either the comma form "1,2,2" or a JSON array "[1,2,2]"."""
-    text = text.strip()
-    if text.startswith("["):
-        try:
-            vals = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse degree list {text!r}") from exc
-        if not isinstance(vals, list):
-            raise InputError("JSON degree list must be an array")
-        return DegreeSequence.from_values(vals)
-    return parse_degrees(text)
 
 
 def _load_json(path: str) -> dict:
@@ -60,7 +46,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_bound(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     trace = omega_b(D, args.k)
     text_lines = [f"b = {trace.b}  (p = {trace.p}, n = {len(D)})"]
     for i, step in enumerate(trace.chain):
@@ -70,14 +56,14 @@ def cmd_bound(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     out = omega(D, args.k)
     _emit(args, {"k": args.k, "omega": out.values()}, str(out))
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     trace = decrement_sequence(D, args.k)
     payload = trace.to_json()
     if trace.degenerate:
@@ -92,7 +78,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     G, script = graphs.construct_worst_case(D, args.k)
     payload = {
         "k": args.k,
@@ -136,21 +122,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ferrers(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     print(render_ferrers(D, args.k))
     return EXIT_OK
 
 
 def cmd_lab_precedes(args) -> int:
-    D = _parse_degree_arg(args.d)
-    E = _parse_degree_arg(args.e)
+    D = parse_degrees(args.d)
+    E = parse_degrees(args.e)
     result = orderlab.precedes(D, E, args.k)
     _emit(args, {"k": args.k, "precedes": result}, str(result).lower())
     return EXIT_OK
 
 
 def cmd_lab_pseudo(args) -> int:
-    E = _parse_degree_arg(args.degrees)
+    E = parse_degrees(args.degrees)
     outs = orderlab.pseudo_reductions(E, args.k)
     payload = {"k": args.k, "pseudo_reductions": [o.values() for o in outs]}
     _emit(args, payload, "\n".join(str(o) for o in outs))
@@ -203,7 +189,7 @@ def cmd_covering_scan(args) -> int:
 
 
 def cmd_loops(args) -> int:
-    D = _parse_degree_arg(args.degrees)
+    D = parse_degrees(args.degrees)
     value = loops.alpha_k_min_loops(D, args.k)
     payload: dict = {"k": args.k, "alpha_min": value}
     text = f"minimum alpha_{args.k} over loop realizations: {value}"

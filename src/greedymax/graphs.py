@@ -1,4 +1,8 @@
-"""Loopless multigraphs, the greedy deletion algorithm, and worst-case witnesses.
+"""Multigraphs, the greedy deletion algorithm, and worst-case witnesses.
+
+``Multigraph`` is the one multigraph type of the package.  It is loopless
+unless built with ``loops=True``, which only the loop variant in ``loops``
+does.
 
 The greedy algorithm repeatedly deletes a vertex of maximum degree until
 the remainder has maximum degree below k; the survivors form a maximal
@@ -82,28 +86,39 @@ class _DegreeIndex:
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Loopless multigraph on vertices 0..n-1; edges keyed by ordered pair u < v."""
+    """Multigraph on vertices 0..n-1; edges keyed by ordered pair u <= v.
+
+    A key (u, u) is a loop and adds 2 to the degree of u."""
 
     n: int
     edges: tuple[tuple[tuple[int, int], int], ...]
 
     @staticmethod
-    def from_edges(n: int, edges) -> "Multigraph":
-        """Build from an iterable of ((u, v), mult) or (u, v, mult) items."""
+    def from_edges(n: int, edges, loops: bool = False) -> "Multigraph":
+        """Build from an iterable of ((u, v), mult) or (u, v, mult) items of
+        integers; a loop (u, u) is rejected unless ``loops`` is set."""
+        if type(n) is not int:
+            raise InputError(f"vertex count {n!r} must be an integer")
         acc: dict[tuple[int, int], int] = {}
         for item in edges:
             if len(item) == 3:
                 u, v, m = item
-            else:
+            elif len(item) == 2:
                 (u, v), m = item
-            if u == v:
+            else:
+                raise InputError(f"edge item {item!r} must have length 2 or 3")
+            if type(u) is not int or type(v) is not int or type(m) is not int:
+                raise InputError(
+                    f"edge {item!r}: vertices and multiplicity must be integers"
+                )
+            if u == v and not loops:
                 raise InputError("loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"vertex out of range in edge ({u},{v})")
             if m < 1:
                 raise InputError("edge multiplicity must be positive")
             key = (min(u, v), max(u, v))
-            acc[key] = acc.get(key, 0) + int(m)
+            acc[key] = acc.get(key, 0) + m
         return Multigraph(n, tuple(sorted(acc.items())))
 
     def degrees(self) -> list[int]:
@@ -113,26 +128,32 @@ class Multigraph:
             deg[c] += m
         return deg
 
+    def degree_sequence(self) -> DegreeSequence:
+        return DegreeSequence.from_values(self.degrees())
+
     def adjacency(self) -> list[dict[int, int]]:
+        """adj[u][v] is the degree u takes from v: the multiplicity of uv,
+        or twice the number of loops when v == u."""
         adj: list[dict[int, int]] = [dict() for _ in range(self.n)]
         for (a, c), m in self.edges:
-            adj[a][c] = m
-            adj[c][a] = m
+            adj[a][c] = adj[c][a] = 2 * m if a == c else m
         return adj
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[u, v, m] for (u, v), m in self.edges]}
 
     @staticmethod
-    def from_json(data: dict) -> "Multigraph":
+    def from_json(data: dict, loops: bool = False) -> "Multigraph":
         try:
-            return Multigraph.from_edges(int(data["n"]), data.get("edges", []))
-        except (KeyError, TypeError) as exc:
+            return Multigraph.from_edges(data["n"], data.get("edges", []), loops)
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed multigraph JSON: {exc}") from exc
 
 
 def degree_sequence_of(G: Multigraph) -> DegreeSequence:
-    return DegreeSequence.from_values(G.degrees())
+    return G.degree_sequence()
 
 
 def realize(D: DegreeSequence) -> Multigraph:
@@ -159,23 +180,6 @@ def realize(D: DegreeSequence) -> Multigraph:
         if second > 1:
             index.push(v, second - 1)
     return Multigraph(len(D), tuple(sorted(edges.items())))
-
-
-def delete_vertex(G: Multigraph, v: int) -> Multigraph:
-    """Remove v and its incident edges; remaining vertices are relabeled
-    downward to keep the 0..n-2 range contiguous."""
-    if not (0 <= v < G.n):
-        raise InputError(f"vertex {v} out of range")
-
-    def relabel(u: int) -> int:
-        return u if u < v else u - 1
-
-    edges = [
-        ((relabel(a), relabel(c)), m)
-        for (a, c), m in G.edges
-        if v not in (a, c)
-    ]
-    return Multigraph(G.n - 1, tuple(sorted(edges)))
 
 
 def lowest_index_chooser(candidates: Sequence[int]) -> int:

@@ -4,68 +4,23 @@ When loops are allowed (each loop adds 2 to a degree), the minimum of the
 k-independence number over all realizations of a degree sequence has a
 closed form.  This module provides that closed form, the extremal
 construction attaining it, a brute-force independence oracle, and a
-labeled enumeration of all realizations for cross-checking.
+labeled enumeration of all realizations for cross-checking.  Its graphs
+are ``graphs.Multigraph`` values whose keys (u, u) are loops; a loop graph
+is read with ``Multigraph.from_json(data, loops=True)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from .errors import InputError, LimitError
+from .graphs import Multigraph
 from .multiset import DegreeSequence
 
 BRUTEFORCE_MAX_ORDER = 14
 ENUM_MAX_ORDER = 6
 ENUM_MAX_SUM = 26
-
-
-@dataclass(frozen=True)
-class LoopMultigraph:
-    """Multigraph on vertices 0..n-1 in which keys with u == v are loops."""
-
-    n: int
-    edges: tuple[tuple[tuple[int, int], int], ...]
-
-    @staticmethod
-    def from_edges(n: int, edges) -> "LoopMultigraph":
-        acc: dict[tuple[int, int], int] = {}
-        for item in edges:
-            if len(item) == 3:
-                u, v, m = item
-            else:
-                (u, v), m = item
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"vertex out of range in edge ({u},{v})")
-            if m < 1:
-                raise InputError("edge multiplicity must be positive")
-            key = (min(u, v), max(u, v))
-            acc[key] = acc.get(key, 0) + int(m)
-        return LoopMultigraph(n, tuple(sorted(acc.items())))
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for (a, c), m in self.edges:
-            if a == c:
-                deg[a] += 2 * m
-            else:
-                deg[a] += m
-                deg[c] += m
-        return deg
-
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence.from_values(self.degrees())
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[u, v, m] for (u, v), m in self.edges]}
-
-    @staticmethod
-    def from_json(data: dict) -> "LoopMultigraph":
-        try:
-            return LoopMultigraph.from_edges(int(data["n"]), data.get("edges", []))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed loop multigraph JSON: {exc}") from exc
 
 
 def _split(D: DegreeSequence, k: int) -> tuple[int, int, int]:
@@ -93,29 +48,20 @@ def alpha_k_min_loops(D: DegreeSequence, k: int) -> int:
     return max(small, -(-(small + at_k) // 2)) + zcount
 
 
-def alpha_k_bruteforce(G: LoopMultigraph, k: int) -> int:
+def alpha_k_bruteforce(G: Multigraph, k: int) -> int:
     """Exact k-independence number by subset search (guarded at order 14)."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if G.n > BRUTEFORCE_MAX_ORDER:
         raise LimitError(f"order {G.n} exceeds guard {BRUTEFORCE_MAX_ORDER}")
-    adj: list[dict[int, int]] = [dict() for _ in range(G.n)]
-    loops = [0] * G.n
-    for (a, c), m in G.edges:
-        if a == c:
-            loops[a] += m
-        else:
-            adj[a][c] = m
-            adj[c][a] = m
+    adj = G.adjacency()
     verts = list(range(G.n))
     for size in range(G.n, -1, -1):
         for subset in combinations(verts, size):
             chosen = set(subset)
             ok = True
             for v in subset:
-                d = 2 * loops[v] + sum(
-                    m for u, m in adj[v].items() if u in chosen
-                )
+                d = sum(m for u, m in adj[v].items() if u in chosen)
                 if d >= k:
                     ok = False
                     break
@@ -124,7 +70,7 @@ def alpha_k_bruteforce(G: LoopMultigraph, k: int) -> int:
     return 0
 
 
-def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[LoopMultigraph]:
+def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[Multigraph]:
     """Every labeled loop multigraph with degree sequence D (degrees assigned
     to vertices in sorted order; no isomorphism reduction)."""
     degrees = sorted(D.values())
@@ -140,38 +86,27 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[LoopMultigraph]:
     residual = degrees[:]
     assignment: dict[tuple[int, int], int] = {}
 
-    def last_pair_of(i: int) -> tuple[int, int]:
-        return (i, n - 1)
-
-    def recurse(idx: int) -> Iterator[LoopMultigraph]:
+    def recurse(idx: int) -> Iterator[Multigraph]:
         if idx == len(pairs):
             if all(r == 0 for r in residual):
-                yield LoopMultigraph.from_edges(
-                    n, [(u, v, m) for (u, v), m in assignment.items() if m]
+                yield Multigraph.from_edges(
+                    n, [(u, v, m) for (u, v), m in assignment.items() if m],
+                    loops=True,
                 )
             return
         i, j = pairs[idx]
-        if i == j:
-            cap = residual[i] // 2
-            unit = 2
-        else:
-            cap = min(residual[i], residual[j])
-            unit = 1
+        cap = residual[i] // 2 if i == j else min(residual[i], residual[j])
         for m in range(cap + 1):
             assignment[(i, j)] = m
-            residual[i] -= unit * m if i == j else m
-            if i != j:
-                residual[j] -= m
-            # once a vertex's last pair is decided its residual must be zero
-            # (loops can still absorb residual at (j,j) when i != j)
-            feasible = True
-            if (i, j) == last_pair_of(i) and residual[i] != 0:
-                feasible = False
-            if feasible:
+            # m at both ends: a loop (i, i) takes 2m from vertex i
+            residual[i] -= m
+            residual[j] -= m
+            # (i, n-1) is the last pair of vertex i, so its residual must
+            # now be zero (loops can still absorb residual at (j, j))
+            if j < n - 1 or residual[i] == 0:
                 yield from recurse(idx + 1)
-            residual[i] += unit * m if i == j else m
-            if i != j:
-                residual[j] += m
+            residual[i] += m
+            residual[j] += m
         del assignment[(i, j)]
 
     yield from recurse(0)
@@ -179,7 +114,7 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[LoopMultigraph]:
 
 def construct_extremal_loop_multigraph(
     D: DegreeSequence, k: int
-) -> LoopMultigraph:
+) -> Multigraph:
     """A loop multigraph with degree sequence D attaining the closed-form
     minimum k-independence number.
 
@@ -214,7 +149,7 @@ def construct_extremal_loop_multigraph(
             rest = degrees[i] - matched[i]
             if rest:
                 edge_mult[(i, i)] = edge_mult.get((i, i), 0) + rest // 2
-        return LoopMultigraph(n, tuple(sorted(edge_mult.items())))
+        return Multigraph(n, tuple(sorted(edge_mult.items())))
 
     s = sum(1 for d in degrees if d < k)
     c = sum(1 for d in degrees if d == k)
@@ -244,4 +179,4 @@ def construct_extremal_loop_multigraph(
         rest = degrees[i] - non_loop[i]
         if rest:
             edge_mult[(i, i)] = edge_mult.get((i, i), 0) + rest // 2
-    return LoopMultigraph(n, tuple(sorted(edge_mult.items())))
+    return Multigraph(n, tuple(sorted(edge_mult.items())))

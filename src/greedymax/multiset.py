@@ -7,12 +7,16 @@ diagram and is the workhorse for the dominance arguments elsewhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError
 
 MAX_DEGREE = 2**31 - 1
+
+# one item of a JSON integer array, with the whitespace JSON allows
+_JSON_INT = re.compile(r"[ \t\n\r]*-?(?:0|[1-9][0-9]*)[ \t\n\r]*")
 
 
 @dataclass(frozen=True)
@@ -115,19 +119,6 @@ class DegreeSequence:
 
     # -- multiset algebra ----------------------------------------------
 
-    def uplus(self, other: "DegreeSequence") -> "DegreeSequence":
-        counts = self.counts
-        for v, m in other.items:
-            counts[v] = counts.get(v, 0) + m
-        return DegreeSequence.from_counts(counts)
-
-    def minus(self, other: "DegreeSequence") -> "DegreeSequence":
-        """Multiset difference: multiplicities clipped at zero."""
-        counts = self.counts
-        for v, m in other.items:
-            counts[v] = max(0, counts.get(v, 0) - m)
-        return DegreeSequence.from_counts(counts)
-
     def without_one(self, v: int) -> "DegreeSequence":
         """Remove a single copy of v."""
         if self.mu(v) == 0:
@@ -227,12 +218,19 @@ def is_trivial(D: DegreeSequence, k: int) -> bool:
 
 
 def parse_degrees(text: str) -> DegreeSequence:
-    """Parse the comma-separated text form, e.g. ``"1,2,2,4,4,5,6"``."""
+    """Parse a degree list of integers, in the comma form ``"1,2,2,4"`` or
+    as a JSON array ``"[1,2,2,4]"``, which is read as the comma form inside
+    brackets whose items must be JSON integers."""
     text = text.strip()
-    if not text:
+    bracketed = text[:1] == "[" and text[-1:] == "]"
+    items = text[1:-1] if bracketed else text
+    if not items.strip():
         return DegreeSequence(())
+    tokens = items.split(",")
+    if bracketed and not all(map(_JSON_INT.fullmatch, tokens)):
+        raise InputError(f"cannot parse degree list {text!r}")
     try:
-        vals = [int(tok) for tok in text.split(",")]
+        vals = [int(tok) for tok in tokens]
     except ValueError as exc:
         raise InputError(f"cannot parse degree list {text!r}") from exc
     return DegreeSequence.from_values(vals)

@@ -44,6 +44,10 @@ def test_degrees_json_form(capsys):
         "--degrees", "[1,2,2,4,4,5,6]",
     )
     assert code == 0 and json.loads(out)["b"] == 4
+    # items must be JSON integers: no strings, nesting, floats or booleans
+    for degrees in ('["a"]', "[[1]]", "[1.5,1.5]", "[true,true]"):
+        code, out, err = run(capsys, "bound", "--k", "1", "--degrees", degrees)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_omega_and_trace(capsys):
@@ -114,6 +118,21 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "verify", "--k", "1", "--graph", str(bad))
     assert code == 2
+    # n, vertices and multiplicities must be JSON integers, and an edge
+    # item must have length 2 or 3
+    for data in (
+        {"n": 3, "edges": [[0]]},
+        {"n": "x", "edges": []},
+        {"n": 2.0, "edges": []},
+        {"n": 3, "edges": [[0.0, 1, 1]]},
+        {"n": 3, "edges": [[0, 1, 1.5]]},
+        {"n": 3, "edges": [[0, True, 1]]},
+        {"n": 3, "edges": [[0, 1, 1, 1]]},
+        {"n": 3, "edges": [[[0, 1, 2], 1]]},
+    ):
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--k", "1", "--graph", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:"), data
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
     script = tmp_path / "s.json"

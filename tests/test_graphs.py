@@ -2,14 +2,13 @@ import json
 
 import pytest
 
-from conftest import random_graphical
+from conftest import graphical_sequences, random_graphical
 from greedymax.cli import main
 from greedymax.errors import InputError, LimitError
 from greedymax.graphs import (
     Multigraph,
     construct_worst_case,
     degree_sequence_of,
-    delete_vertex,
     lowest_index_chooser,
     make_scripted_chooser,
     max_run,
@@ -17,6 +16,7 @@ from greedymax.graphs import (
     random_rewiring,
     realize,
 )
+from greedymax.loops import enumerate_loop_realizations
 from greedymax.multiset import make_degree_sequence
 from greedymax.omega import b
 
@@ -62,29 +62,6 @@ def test_realize_random(rng):
     for _ in range(100):
         D = random_graphical(rng)
         assert degree_sequence_of(realize(D)) == D
-
-
-def test_delete_vertex_isolated():
-    G = Multigraph.from_edges(3, [(0, 1, 2)])
-    H = delete_vertex(G, 2)
-    assert H.n == 2 and degree_sequence_of(H) == make_degree_sequence([2, 2])
-
-
-def test_delete_vertex_double_edge_endpoint():
-    G = Multigraph.from_edges(2, [(0, 1, 2)])
-    H = delete_vertex(G, 0)
-    assert degree_sequence_of(H) == make_degree_sequence([0])
-
-
-def test_delete_vertex_sum_identity():
-    G = realize(D_EX)
-    deg = G.degrees()
-    v = deg.index(max(deg))
-    H = delete_vertex(G, v)
-    assert H.n == 6
-    assert degree_sequence_of(H).total == D_EX.total - 2 * D_EX.max_value
-    with pytest.raises(InputError):
-        delete_vertex(G, 7)
 
 
 def test_max_run_trivial_graph():
@@ -157,6 +134,25 @@ def test_max_worst_case_guard():
     G = Multigraph.from_edges(10, [(0, 1, 1)])
     with pytest.raises(LimitError):
         max_worst_case(G, 1)
+
+
+def test_b_is_the_minimum_over_every_loopless_realization():
+    """The lower bound and its sharpness, over all labelled realizations:
+    the worst run of MAX on the worst loopless multigraph with degree
+    sequence D leaves exactly b(D, k) vertices.
+
+    573 sequences (order <= 6, sum <= 16) and 7,044 loopless realizations,
+    about 3 s.  The frontier: enumerate_loop_realizations refuses order 7,
+    and sum <= 18 already takes about 8.5 s (856 sequences, 15,900
+    realizations)."""
+    for D in graphical_sequences(6, 16):
+        loopless = [
+            G for G in enumerate_loop_realizations(D)
+            if all(u != v for (u, v), _ in G.edges)
+        ]
+        for k in (1, 2, 3):
+            least = min(max_worst_case(G, k)[0] for G in loopless)
+            assert least == b(D, k).b, (D, k)
 
 
 def test_construct_worst_case_trivial_input():

@@ -1,8 +1,8 @@
 import pytest
 
 from greedymax.errors import InputError, LimitError
+from greedymax.graphs import Multigraph
 from greedymax.loops import (
-    LoopMultigraph,
     alpha_k_bruteforce,
     alpha_k_min_loops,
     construct_extremal_loop_multigraph,
@@ -39,24 +39,24 @@ def test_alpha_min_zero_degree_remark():
 
 
 def test_bruteforce_edgeless():
-    G = LoopMultigraph.from_edges(5, [])
+    G = Multigraph.from_edges(5, [], loops=True)
     assert alpha_k_bruteforce(G, 1) == 5
     assert alpha_k_bruteforce(G, 4) == 5
 
 
 def test_bruteforce_single_loop():
-    G = LoopMultigraph.from_edges(1, [(0, 0, 1)])
+    G = Multigraph.from_edges(1, [(0, 0, 1)], loops=True)
     assert alpha_k_bruteforce(G, 2) == 0
     assert alpha_k_bruteforce(G, 3) == 1
 
 
 def test_bruteforce_triple_edge():
-    G = LoopMultigraph.from_edges(2, [(0, 1, 3)])
+    G = Multigraph.from_edges(2, [(0, 1, 3)], loops=True)
     assert alpha_k_bruteforce(G, 1) == 1
 
 
 def test_bruteforce_guard():
-    G = LoopMultigraph.from_edges(15, [])
+    G = Multigraph.from_edges(15, [], loops=True)
     with pytest.raises(LimitError):
         alpha_k_bruteforce(G, 1)
 
@@ -117,5 +117,5 @@ def test_construct_rejects_bad_input():
 
 
 def test_loop_json_round_trip():
-    G = LoopMultigraph.from_edges(3, [(0, 0, 2), (1, 2, 1)])
-    assert LoopMultigraph.from_json(G.to_json()) == G
+    G = Multigraph.from_edges(3, [(0, 0, 2), (1, 2, 1)], loops=True)
+    assert Multigraph.from_json(G.to_json(), loops=True) == G

@@ -117,16 +117,6 @@ def test_mu_is_sigma_difference(vals, z):
     assert mu(D, z) == p(z) - p(z + 1)
 
 
-@given(degree_lists, degree_lists)
-def test_uplus_minus_pointwise(a, b):
-    D, E = make_degree_sequence(a), make_degree_sequence(b)
-    u = D.uplus(E)
-    d = D.minus(E)
-    for z in range(0, 14):
-        assert u.mu(z) == D.mu(z) + E.mu(z)
-        assert d.mu(z) == max(0, D.mu(z) - E.mu(z))
-
-
 def test_max_of_empty_is_error():
     with pytest.raises(InputError):
         make_degree_sequence([]).max_value
@@ -137,6 +127,12 @@ def test_parse_degrees():
     assert parse_degrees("") == make_degree_sequence([])
     with pytest.raises(InputError):
         parse_degrees("1,x")
+    # the JSON array form is the comma form inside brackets
+    assert parse_degrees(" [1, 2,2] ") == make_degree_sequence([1, 2, 2])
+    assert parse_degrees("[]") == parse_degrees("[ ]") == make_degree_sequence([])
+    for text in ('["1"]', "[1.0]", "[true]", "[+1]", "[01]", "[1,]", "[1", "[[1]]"):
+        with pytest.raises(InputError):
+            parse_degrees(text)
 
 
 def test_ferrers_small_shape():
