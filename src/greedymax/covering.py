@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import InputError
 from .multiset import DegreeSequence
 from .omega import b as omega_b
+from .omega import exceeds
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,21 @@ class CoveringBoundReport:
     ell: int
     D: DegreeSequence
     k: int
-    b: int | None = None
+    b_exceeds_z: bool = False  # the decision b(D, k) > z of apply_bound
+
+    @cached_property
+    def b(self) -> int | None:
+        """b(D, k), computed when first read, or None when D is not
+        graphical.  The test itself only needs the decision b > z; the
+        whole chain is walked only for a report whose b is read."""
+        return omega_b(self.D, self.k).b if self.D.is_graphical() else None
 
     @property
     def reason(self) -> str | None:
         """Why no covering with z blocks exists, or None if the test passes."""
         if not self.D.is_graphical():
             return "excess degree sequence is not graphical"
-        if self.b is not None and self.b > self.z:
+        if self.b_exceeds_z:
             return "b > z"
         return None
 
@@ -88,7 +97,7 @@ def schonheim(v: int, kappa: int, lam: int = 1) -> int:
 
 def excess_profile(params: CoveringParams, z: int) -> CoveringBoundReport:
     """Degree-sequence profile of the excess of a hypothetical covering with
-    z blocks; the bound field is left unfilled."""
+    z blocks; the decision b > z is left unfilled."""
     r = params.replication
     d = r * (params.kappa - 1) - params.lam * (params.v - 1)
     if params.kappa * z < r * params.v:
@@ -113,17 +122,21 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     """Test block count z; a contradiction means the covering number is at
     least z + 1.
 
-    A non-graphical excess profile is a contradiction by itself, and b is
-    left unfilled.  The degree sum of the excess is fixed by z, and so is
-    its parity; among all replication profiles with that sum, the balanced
-    one tested here has the smallest maximum.  So if the balanced profile
+    The report stores the decision b(D, k) > z from ``omega.exceeds``,
+    which on the covering scan walks about half of the reduction chain;
+    b itself is computed only if the report's ``b`` is read.
+
+    A non-graphical excess profile is a contradiction by itself, and its b
+    is None.  The degree sum of the excess is fixed by z, and so is its
+    parity; among all replication profiles with that sum, the balanced one
+    tested here has the smallest maximum.  So if the balanced profile
     fails "even sum and sum >= twice the maximum", every profile fails, and
     no loopless excess multigraph, hence no covering with z blocks, exists.
     Since kappa < v, r > lambda and k = r - lambda >= 1."""
     rep = excess_profile(params, z)
     if not rep.D.is_graphical():
         return rep
-    return replace(rep, b=omega_b(rep.D, rep.k).b)
+    return replace(rep, b_exceeds_z=exceeds(rep.D, rep.k, z))
 
 
 def covering_lower_bound(

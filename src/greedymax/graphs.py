@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, LimitError
 from .multiset import DegreeSequence
-from .omega import check_degree_sum, reduction_chain
+from .omega import MAX_DEGREE_SUM, check_degree_sum, reduction_chain
 
 WORST_CASE_MAX_ORDER = 9
 
@@ -96,9 +96,16 @@ class Multigraph:
     @staticmethod
     def from_edges(n: int, edges, loops: bool = False) -> "Multigraph":
         """Build from an iterable of ((u, v), mult) or (u, v, mult) items of
-        integers; a loop (u, u) is rejected unless ``loops`` is set."""
+        integers; a loop (u, u) is rejected unless ``loops`` is set.
+
+        Raises LimitError when n exceeds MAX_DEGREE_SUM: a greedy run
+        allocates O(n), and a graph file may state any n."""
         if type(n) is not int:
             raise InputError(f"vertex count {n!r} must be an integer")
+        if n < 0:
+            raise InputError(f"vertex count {n} must be nonnegative")
+        if n > MAX_DEGREE_SUM:
+            raise LimitError(f"vertex count {n} exceeds guard {MAX_DEGREE_SUM}")
         acc: dict[tuple[int, int], int] = {}
         for item in edges:
             if len(item) == 3:

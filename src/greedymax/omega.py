@@ -18,7 +18,8 @@ from .multiset import DegreeSequence
 
 # Largest degree sum accepted by the routines whose output or work grows
 # with it: decrement_sequence (the schedule a has about sum(D) entries) and
-# graphs.construct_worst_case (one edge unit per unit of degree).
+# graphs.construct_worst_case (one edge unit per unit of degree).  It also
+# bounds the vertex count of a graphs.Multigraph built from edges.
 MAX_DEGREE_SUM = 2**21
 
 
@@ -48,38 +49,41 @@ class _Blocks:
         """Largest element, 0 when no element is positive."""
         return self.blocks[-1][0] if self.blocks else 0
 
-    def is_graphical(self) -> bool:
-        return self.total % 2 == 0 and self.total >= 2 * self.top
-
     def sequence(self) -> DegreeSequence:
         items = tuple(self.blocks)
         return DegreeSequence(((0, self.zeros),) + items if self.zeros else items)
 
-    def drop_max(self) -> int:
-        """Remove one copy of the maximum and return its value."""
+    def reduce(self, k: int, runs: list | None = None) -> bool:
+        """One application of the operator, in place; the one step that
+        ``omega``, ``decrement_sequence``, ``reduction_chain`` and
+        ``exceeds`` share.
+
+        Raises InputError unless the state is graphical (even sum, at least
+        twice the maximum), drops one copy of the maximum m and applies the
+        first m scheduled decrements, recorded in ``runs`` as ``decrement``
+        does.  When what is left sums to less than m + 2k or has its
+        maximum below k, the reduction is forced to all zeros instead, and
+        True is returned for that degenerate branch."""
+        blocks = self.blocks
+        total = self.total
+        m, c = blocks[-1] if blocks else (0, 0)
+        if total % 2 or total < 2 * m:
+            raise InputError("input is not graphical")
         self.order -= 1
-        if not self.blocks:
-            self.zeros -= 1
-            return 0
-        v, c = self.blocks.pop()
         if c > 1:
-            self.blocks.append((v, c - 1))
-        self.total -= v
-        return v
-
-    def degenerate(self, m: int, k: int) -> bool:
-        """True when, after dropping the maximum m, the reduction is forced
-        to all zeros."""
-        return self.total < m + 2 * k or self.top < k
-
-    def reduce(self, k: int, runs: list | None = None) -> None:
-        """One application of the operator, in place."""
-        m = self.drop_max()
-        if self.degenerate(m, k):
-            self.zeros, self.total = self.order, 0
-            self.blocks.clear()
+            blocks[-1] = (m, c - 1)
+        elif c:
+            blocks.pop()
         else:
-            self.decrement(m, k, runs)
+            self.zeros -= 1
+        total -= m
+        if total < m + 2 * k or not blocks or blocks[-1][0] < k:
+            self.zeros, self.total = self.order, 0
+            blocks.clear()
+            return True
+        self.total = total
+        self.decrement(m, k, runs)
+        return False
 
     def decrement(self, t: int, k: int, runs: list | None = None) -> None:
         """Apply the next t scheduled decrements.
@@ -95,20 +99,22 @@ class _Blocks:
             v, c = blocks[-1]
             if v > k:
                 # the top block sinks to the next value or to k
-                below = blocks[-2][0] if len(blocks) > 1 else 0
-                floor = max(below, k)
-                q, r = divmod(t, c)
                 blocks.pop()
+                below = blocks[-1][0] if blocks else 0
+                floor = below if below > k else k
+                q = t // c
                 if q < v - floor:
                     # q whole levels, then r copies one level further
-                    if r and v - q - 1 == below:
+                    r = t - q * c
+                    w = v - q
+                    if r and w - 1 == below:
                         blocks[-1] = (below, blocks[-1][1] + r)
                     elif r:
-                        blocks.append((v - q - 1, r))
-                    blocks.append((v - q, c - r))
+                        blocks.append((w - 1, r))
+                    blocks.append((w, c - r))
                     if runs is not None:
-                        runs.append((v, v - q, c, 1))
-                        runs.append((v - q, v - q - 1, r, 1))
+                        runs.append((v, w, c, 1))
+                        runs.append((w, w - 1, r, 1))
                     return
                 t -= c * (v - floor)
                 if floor == below:
@@ -120,8 +126,9 @@ class _Blocks:
             else:
                 # the smallest positive elements fall to 0 one at a time
                 x, c = blocks.popleft()
-                q, r = divmod(t, x)
+                q = t // x
                 if q < c:
+                    r = t - q * x
                     self.zeros += q
                     left = c - q - (r > 0)
                     if left:
@@ -191,13 +198,17 @@ class BTrace:
         }
 
 
-def _check_reducible(D: DegreeSequence, k: int) -> None:
+def _check_graphical(D: DegreeSequence, k: int) -> None:
     if k < 1:
         raise InputError("k must be a positive integer")
-    if not D.items:
-        raise InputError("cannot reduce the empty sequence")
     if not D.is_graphical():
         raise InputError("input is not graphical")
+
+
+def _check_reducible(D: DegreeSequence, k: int) -> None:
+    _check_graphical(D, k)
+    if not D.items:
+        raise InputError("cannot reduce the empty sequence")
 
 
 def check_degree_sum(D: DegreeSequence) -> None:
@@ -228,26 +239,27 @@ def decrement_sequence(
     if D.is_trivial(k):
         raise InputError("input is trivial")
     check_degree_sum(D)
+    m = D.max_value
+    a0 = D.without_one(m)
+    s = D.total - m
     state = _Blocks(D)
-    m = state.drop_max()
-    a0 = state.sequence()
-    s = state.total
-    if state.degenerate(m, k):
-        # a nontrivial graphical D has at least two elements
+    runs: list = []
+    if state.reduce(k, runs):
         return DecrementTrace(
             k=k, input=D, m=m, a0=a0, s=s, a=(),
-            omega=DegreeSequence(((0, len(D) - 1),)), degenerate=True,
+            omega=state.sequence(), degenerate=True,
         )
-    runs: list = []
     inter: list[DegreeSequence] = []
     if keep_intermediates:
+        # replay the whole schedule from A_0 one decrement at a time
+        runs = []
+        state = _Blocks(a0)
         inter.append(a0)
         for _ in range(s):
             state.decrement(1, k, runs)
             inter.append(state.sequence())
         result = inter[m]
     else:
-        state.decrement(m, k, runs)
         result = state.sequence()
         state.decrement(s - m, k, runs)
     return DecrementTrace(
@@ -268,8 +280,6 @@ def reduction_chain(
     state = _Blocks(D)
     chain = [D]
     while state.top >= k:
-        if not state.is_graphical():
-            raise InputError("input is not graphical")
         runs = None if heads is None else []
         state.reduce(k, runs)
         if heads is not None:
@@ -285,10 +295,41 @@ def b(D: DegreeSequence, k: int) -> BTrace:
     O(d) for a term with d distinct values (the blocks the schedule touches,
     plus the copy kept in the chain), so a chain of p <= n steps costs
     O(p * d), whatever the size of the degrees."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    if not D.is_graphical():
-        raise InputError("input is not graphical")
+    _check_graphical(D, k)
     chain = reduction_chain(D, k)
     p = len(chain) - 1
     return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p)
+
+
+def exceeds(D: DegreeSequence, k: int, z: int) -> bool:
+    """Whether b(D, k) > z, decided without walking the whole chain.
+
+    With p the number of steps of the reduction chain of D, b = n - p, so
+    the answer is p < n - z.  The walk carries the block state of
+    ``reduction_chain`` and stops at the first of two points:
+
+    - p >= n - z: the answer is False.
+    - p + #{x >= k} < n - z: the answer is True.  A step only runs while
+      the maximum is at least k, and it drops that maximum, so each step
+      removes an element >= k.  No value ever rises, so an element below k
+      never reaches k again.  At most #{x >= k} steps therefore remain.
+
+    A trivial term has no element >= k, so the walk stops by the end of
+    the chain at the latest.  No chain term is built or stored; on the
+    covering scan this takes about half the steps of the full chain.
+    Raises InputError where ``b`` does."""
+    _check_graphical(D, k)
+    state = _Blocks(D)
+    need = len(D) - z
+    p = 0
+    while p < need:
+        left = 0  # #{x >= k}, counted from the top
+        for v, c in reversed(state.blocks):
+            if v < k:
+                break
+            left += c
+        if p + left < need:
+            return True
+        state.reduce(k)
+        p += 1
+    return False

@@ -64,6 +64,11 @@ def test_omega_and_trace(capsys):
     assert payload["a"][:4] == [5, 4, 4, 4] and payload["s"] == 18
 
 
+def test_omega_on_all_zero_input(capsys):
+    code, out, err = run(capsys, "omega", "--k", "1", "--degrees", "0,0")
+    assert (code, out, err) == (0, "{0}\n", "")
+
+
 def test_construct_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(
         capsys, "--format", "json", "construct", "--k", "3",
@@ -118,9 +123,10 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "verify", "--k", "1", "--graph", str(bad))
     assert code == 2
-    # n, vertices and multiplicities must be JSON integers, and an edge
-    # item must have length 2 or 3
+    # n must be a nonnegative JSON integer, vertices and multiplicities JSON
+    # integers, and an edge item must have length 2 or 3
     for data in (
+        {"n": -2, "edges": []},
         {"n": 3, "edges": [[0]]},
         {"n": "x", "edges": []},
         {"n": 2.0, "edges": []},
@@ -142,6 +148,15 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
             capsys, "verify", "--k", "1", "--graph", str(graph), "--script", str(script)
         )
         assert code == 2 and "script" in err
+
+
+def test_verify_vertex_count_guard_exits_3(capsys, tmp_path):
+    # a greedy run allocates O(n), so n is refused before any allocation
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps({"n": 100000000000, "edges": []}))
+    code, out, err = run(capsys, "verify", "--k", "1", "--graph", str(graph))
+    assert code == 3 and out == ""
+    assert err == "error: vertex count 100000000000 exceeds guard 2097152\n"
 
 
 def test_trace_and_construct_degree_sum_guard(capsys):
@@ -199,7 +214,37 @@ def test_covering_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["bound"] == 17
-    assert payload["reports"][0]["b"] == 17
+    # b is computed only when a report is read, and still exact
+    assert [(r["z"], r["b"], r["contradiction"], r["reason"])
+            for r in payload["reports"]] == [
+        (16, 17, True, "b > z"),
+        (17, 11, False, None),
+    ]
+    code, out, _ = run(
+        capsys, "covering", "--v", "50", "--kappa", "14", "--start", "16"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "C_1(50,14) >= 17",
+        "  z=16: r=4 d=3 s=0 ell=24 k=3 b=17 contradiction=True (b > z)",
+        "  z=17: r=4 d=3 s=0 ell=38 k=3 b=11 contradiction=False",
+    ]
+
+
+def test_covering_command_non_graphical_first_report(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "covering", "--v", "91", "--kappa", "19"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == 28
+    assert [(r["z"], r["b"], r["reason"]) for r in payload["reports"]] == [
+        (24, None, "excess degree sequence is not graphical"),
+        (25, 74, "b > z"),
+        (26, 58, "b > z"),
+        (27, 41, "b > z"),
+        (28, 25, None),
+    ]
 
 
 def test_covering_scan_csv(capsys, tmp_path):

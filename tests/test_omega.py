@@ -56,6 +56,12 @@ def test_omega_trivial_input_gives_zeros():
     assert omega(make_degree_sequence([1, 1, 0]), 2) == make_degree_sequence([0, 0])
 
 
+def test_omega_on_all_zero_input():
+    # no positive element: the step drops a zero and keeps the other zeros
+    assert omega(make_degree_sequence([0, 0]), 1) == make_degree_sequence([0])
+    assert omega(make_degree_sequence([0]), 1) == make_degree_sequence([])
+
+
 def test_b_worked_example():
     t = b(D_EX, 3)
     assert t.b == 4 and t.p == 3
