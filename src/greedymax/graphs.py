@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InputError, LimitError
-from .multiset import DegreeSequence
-from .omega import MAX_DEGREE_SUM, check_degree_sum, reduction_chain
+from .multiset import MAX_DEGREE_SUM, DegreeSequence, check_degree_sum
+from .omega import reduction_chain
 
 WORST_CASE_MAX_ORDER = 9
 
@@ -252,9 +252,7 @@ def max_run(
     return [v for v in range(G.n) if deg[v] >= 0], log
 
 
-def max_worst_case(
-    G: Multigraph, k: int, max_order: int = WORST_CASE_MAX_ORDER
-) -> tuple[int, list[int]]:
+def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
     """Exact minimum survivor count over every legal choice sequence of the
     greedy algorithm, with one witnessing deletion script.
 
@@ -262,8 +260,8 @@ def max_worst_case(
     set (which determines the residual subgraph exactly)."""
     if k < 1:
         raise InputError("k must be a positive integer")
-    if G.n > max_order:
-        raise LimitError(f"graph order {G.n} exceeds guard {max_order}")
+    if G.n > WORST_CASE_MAX_ORDER:
+        raise LimitError(f"graph order {G.n} exceeds guard {WORST_CASE_MAX_ORDER}")
     adj = G.adjacency()
     memo: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
 

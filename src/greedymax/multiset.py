@@ -11,9 +11,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, LimitError
 
 MAX_DEGREE = 2**31 - 1
+
+# Largest degree sum accepted by the routines whose output or work grows
+# with it: omega.decrement_sequence (the schedule a has about sum(D)
+# entries), graphs.construct_worst_case (one edge unit per unit of degree)
+# and render_ferrers (one cell per unit).  It also bounds the vertex count
+# of a graphs.Multigraph built from edges.
+MAX_DEGREE_SUM = 2**21
 
 # one item of a JSON integer array, with the whitespace JSON allows
 _JSON_INT = re.compile(r"[ \t\n\r]*-?(?:0|[1-9][0-9]*)[ \t\n\r]*")
@@ -236,10 +243,19 @@ def parse_degrees(text: str) -> DegreeSequence:
     return DegreeSequence.from_values(vals)
 
 
+def check_degree_sum(D: DegreeSequence) -> None:
+    """Raise LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
+    if D.total > MAX_DEGREE_SUM:
+        raise LimitError(f"degree sum {D.total} exceeds guard {MAX_DEGREE_SUM}")
+
+
 def render_ferrers(D: DegreeSequence, k: int) -> str:
-    """Monospace Ferrers diagram, rows nonincreasing, rule after column k."""
+    """Monospace Ferrers diagram, rows nonincreasing, rule after column k.
+
+    Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
     if k < 1:
         raise InputError("k must be a positive integer")
+    check_degree_sum(D)
     lines = []
     for v in sorted(D.values(), reverse=True):
         if v <= k:

@@ -13,14 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError, LimitError
-from .multiset import DegreeSequence
-
-# Largest degree sum accepted by the routines whose output or work grows
-# with it: decrement_sequence (the schedule a has about sum(D) entries) and
-# graphs.construct_worst_case (one edge unit per unit of degree).  It also
-# bounds the vertex count of a graphs.Multigraph built from edges.
-MAX_DEGREE_SUM = 2**21
+from .errors import InputError
+from .multiset import DegreeSequence, check_degree_sum
 
 
 class _Blocks:
@@ -209,14 +203,6 @@ def _check_reducible(D: DegreeSequence, k: int) -> None:
     _check_graphical(D, k)
     if not D.items:
         raise InputError("cannot reduce the empty sequence")
-
-
-def check_degree_sum(D: DegreeSequence) -> None:
-    """Raise LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
-    if D.total > MAX_DEGREE_SUM:
-        raise LimitError(
-            f"degree sum {D.total} exceeds guard {MAX_DEGREE_SUM}"
-        )
 
 
 def omega(D: DegreeSequence, k: int) -> DegreeSequence:

@@ -110,21 +110,16 @@ def applicable_steps(
                 yield ElementaryStep("transfer", x, y), apply_increment(mid, y - 1)
 
 
-def precedes(
-    D: DegreeSequence,
-    E: DegreeSequence,
-    k: int,
-    max_order: int = PRECEDES_MAX_ORDER,
-    max_sum: int = PRECEDES_MAX_SUM,
-) -> bool:
+def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     """Decide reachability of D from E by elementary steps (BFS oracle).
 
     Exponential in general; refuses instances beyond the declared guards."""
     if len(D) != len(E):
         raise InputError("orders differ")
-    if len(D) > max_order or D.total > max_sum:
+    if len(D) > PRECEDES_MAX_ORDER or D.total > PRECEDES_MAX_SUM:
         raise LimitError(
-            f"instance exceeds guards (order <= {max_order}, sum <= {max_sum})"
+            "instance exceeds guards "
+            f"(order <= {PRECEDES_MAX_ORDER}, sum <= {PRECEDES_MAX_SUM})"
         )
     if D == E:
         return True
@@ -159,13 +154,16 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
     and conjugate profile dominated by that of E minus one maximum.
 
     Every true reduction of E appears here, so the list is a sound superset
-    for testing reduction claims."""
+    for testing reduction claims.  The enumeration is exponential, so it
+    refuses sum(E) above PRECEDES_MAX_SUM."""
     if k < 1:
         raise InputError("k must be a positive integer")
     if not E.is_graphical():
         raise InputError("input is not graphical")
     if E.is_trivial(k):
         raise InputError("input is trivial")
+    if E.total > PRECEDES_MAX_SUM:
+        raise LimitError(f"degree sum {E.total} exceeds guard {PRECEDES_MAX_SUM}")
     m = E.max_value
     a0 = E.without_one(m)
     target = a0.total - m

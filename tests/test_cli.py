@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import greedymax
-from greedymax.cli import main
+from greedymax.cli import build_parser, main
 from greedymax.graphs import Multigraph
 
 
@@ -161,7 +163,8 @@ def test_verify_vertex_count_guard_exits_3(capsys, tmp_path):
 
 def test_trace_and_construct_degree_sum_guard(capsys):
     degrees = "2147483646,2147483646,2"
-    for cmd in ("trace", "construct"):
+    # the Ferrers diagram has one cell per unit of degree, so it is guarded too
+    for cmd in ("trace", "construct", "ferrers"):
         code, out, err = run(capsys, cmd, "--k", "1", "--degrees", degrees)
         assert code == 3 and out == ""
         assert "degree sum 4294967294 exceeds guard 2097152" in err
@@ -204,6 +207,17 @@ def test_lab_pseudo_reductions(capsys):
     )
     assert code == 0
     assert json.loads(out)["pseudo_reductions"] == [[0, 0]]
+    # the enumeration is exponential: sum(E) <= 26 runs, more exits 3
+    code, out, err = run(
+        capsys, "lab", "pseudo-reductions", "--k", "1", "--degrees", "13,13"
+    )
+    assert (code, out, err) == (0, "{0}\n", "")
+    for degrees, total in (("14,14", 28), ("100000000,100000000", 200000000)):
+        code, out, err = run(
+            capsys, "lab", "pseudo-reductions", "--k", "1", "--degrees", degrees
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: degree sum {total} exceeds guard 26\n"
 
 
 def test_covering_command(capsys):
@@ -275,3 +289,72 @@ def test_ferrers_command(capsys):
     code, out, _ = run(capsys, "ferrers", "--k", "3", "--degrees", "2,1")
     assert code == 0
     assert out.splitlines() == ["##", "#"]
+
+
+def test_ferrers_guard_admits_its_bound(capsys):
+    code, out, _ = run(capsys, "ferrers", "--k", "1", "--degrees", "1048576,1048576")
+    assert code == 0 and len(out) == 2 * (1048576 + 2)
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    code, out, _ = run(
+        capsys, "--format", "json", "construct", "--k", "3",
+        "--degrees", "1,2,2,4,4,5,6",
+    )
+    whole = tmp_path / "w.json"
+    whole.write_text(out)
+    calls = [
+        ["verify", "--k", "3", "--graph", str(whole), "--script", str(whole)],
+        ["verify", "--k", "3", "--graph", str(whole)],
+        ["covering", "--v", "50", "--kappa", "14", "--start", "16"],
+        ["covering", "--v", "50", "--kappa", "14"],
+        ["--format", "json", "bound", "--k", "3", "--degrees", "1,2,2,4,4,5,6"],
+        ["bound", "--k", "3", "--degrees", "1,2,2,4,4,5,6"],
+    ]
+    # options left out of a call must not keep the values of an earlier call
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+    assert shared[4][1] != shared[5][1]
+
+
+def test_parser_surface(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("positional arguments:") + 2
+    listed = [line.split(None, 1) for line in lines[start:start + 10]]
+    assert listed == [
+        ["bound", "worst-case bound b_k(D)"],
+        ["omega", "one reduction step"],
+        ["trace", "full decrement schedule"],
+        ["construct", "worst-case witness multigraph"],
+        ["verify", "replay or exhaust greedy runs"],
+        ["ferrers", "Ferrers diagram"],
+        ["lab", "order-theoretic oracles"],
+        ["covering", "iterated covering lower bound"],
+        ["covering-scan", "scan (kappa, v) grid"],
+        ["loops", "loop-multigraph minimum alpha_k"],
+    ]
+    assert lines[start + 10] == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["lab", "--help"])
+    assert exc.value.code == 0
+    assert "{precedes,pseudo-reductions}" in capsys.readouterr().out
+    for argv in (
+        ["bound", "--degrees", "1,1"],
+        ["nope"],
+        ["--format", "xml", "bound", "--k", "1", "--degrees", "1,1"],
+        ["lab"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: greedymax")
