@@ -3,7 +3,6 @@
 from .errors import InputError, LimitError
 from .multiset import (
     DegreeSequence,
-    SigmaProfile,
     from_sigma,
     is_graphical,
     is_trivial,
@@ -11,7 +10,6 @@ from .multiset import (
     mu,
     parse_degrees,
     render_ferrers,
-    sigma,
 )
 from .omega import BTrace, DecrementTrace, b, decrement_sequence, omega
 
@@ -19,7 +17,6 @@ __all__ = [
     "InputError",
     "LimitError",
     "DegreeSequence",
-    "SigmaProfile",
     "from_sigma",
     "is_graphical",
     "is_trivial",
@@ -27,7 +24,6 @@ __all__ = [
     "mu",
     "parse_degrees",
     "render_ferrers",
-    "sigma",
     "BTrace",
     "DecrementTrace",
     "b",

@@ -9,6 +9,8 @@ bounds, and loops the loop-multigraph variant.  Exit codes: 0 success,
 A subcommand is added as one ``COMMANDS`` row (name, help, arguments,
 handler).  A handler returns ``(payload, text)``, and ``main`` prints the
 payload as JSON under ``--format json`` (unless it is None), else the text.
+``text`` is a zero-argument callable, so the text is only built when it is
+printed; the handler does all work that can fail before it returns.
 Handlers import the heavier modules they use, so ``bound`` does not load them.
 """
 
@@ -46,26 +48,25 @@ def _section(data, key: str):
 def cmd_bound(args):
     D = parse_degrees(args.degrees)
     trace = omega_b(D, args.k)
-    lines = [f"b = {trace.b}  (p = {trace.p}, n = {len(D)})"]
-    lines += [f"  chain[{i}] = {step}" for i, step in enumerate(trace.chain)]
-    return trace.to_json(), "\n".join(lines)
+    return trace.to_json(), lambda: "\n".join(
+        [f"b = {trace.b}  (p = {trace.p}, n = {len(D)})"]
+        + [f"  chain[{i}] = {step}" for i, step in enumerate(trace.chain)]
+    )
 
 
 def cmd_omega(args):
     out = omega(parse_degrees(args.degrees), args.k)
-    return {"k": args.k, "omega": out.values()}, str(out)
+    return {"k": args.k, "omega": out.values()}, lambda: str(out)
 
 
 def cmd_trace(args):
     trace = decrement_sequence(parse_degrees(args.degrees), args.k)
     if trace.degenerate:
-        text = f"degenerate: omega = {trace.omega}"
-    else:
-        text = (
-            f"a = ({','.join(map(str, trace.a))})  s = {trace.s}\n"
-            f"omega = {trace.omega}"
-        )
-    return trace.to_json(), text
+        return trace.to_json(), lambda: f"degenerate: omega = {trace.omega}"
+    return trace.to_json(), lambda: (
+        f"a = ({','.join(map(str, trace.a))})  s = {trace.s}\n"
+        f"omega = {trace.omega}"
+    )
 
 
 def cmd_construct(args):
@@ -79,12 +80,11 @@ def cmd_construct(args):
         "script": {"deletions": script},
         "b": len(D) - len(script),
     }
-    text = (
-        f"graph: {json.dumps(G.to_json())}\n"
+    return payload, lambda: (
+        f"graph: {json.dumps(payload['graph'])}\n"
         f"deletions: {script}\n"
-        f"survivors: {len(D) - len(script)}"
+        f"survivors: {payload['b']}"
     )
-    return payload, text
 
 
 def cmd_verify(args):
@@ -95,7 +95,7 @@ def cmd_verify(args):
     if args.exhaustive:
         size, script = graphs.max_worst_case(G, args.k)
         payload = {"k": args.k, "worst_case": size, "script": script}
-        return payload, f"worst case over all runs: {size}  (script {script})"
+        return payload, lambda: f"worst case over all runs: {size}  (script {script})"
     chooser = None
     if args.script:
         data = _section(_load_json(args.script), "script")
@@ -109,19 +109,20 @@ def cmd_verify(args):
         "size": len(survivors),
         "log": [[v, d] for v, d in log],
     }
-    return payload, f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
+    return payload, lambda: f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
 
 
 def cmd_ferrers(args):
     # the diagram is the output in every format
-    return None, render_ferrers(parse_degrees(args.degrees), args.k)
+    diagram = render_ferrers(parse_degrees(args.degrees), args.k)
+    return None, lambda: diagram
 
 
 def cmd_lab_precedes(args):
     from . import orderlab
 
     result = orderlab.precedes(parse_degrees(args.d), parse_degrees(args.e), args.k)
-    return {"k": args.k, "precedes": result}, str(result).lower()
+    return {"k": args.k, "precedes": result}, lambda: str(result).lower()
 
 
 def cmd_lab_pseudo(args):
@@ -129,7 +130,7 @@ def cmd_lab_pseudo(args):
 
     outs = orderlab.pseudo_reductions(parse_degrees(args.degrees), args.k)
     payload = {"k": args.k, "pseudo_reductions": [o.values() for o in outs]}
-    return payload, "\n".join(str(o) for o in outs)
+    return payload, lambda: "\n".join(str(o) for o in outs)
 
 
 def cmd_covering(args):
@@ -148,14 +149,18 @@ def cmd_covering(args):
         "bound": final,
         "reports": [r.to_json() for r in reports],
     }
-    lines = [f"C_{args.lam}({args.v},{args.kappa}) >= {final}"]
-    for r in reports:
-        lines.append(
-            f"  z={r.z}: r={r.r} d={r.d} s={r.s} ell={r.ell} "
-            f"k={r.k} b={r.b} contradiction={r.contradiction}"
-            + (f" ({r.reason})" if r.reason else "")
-        )
-    return payload, "\n".join(lines)
+
+    def text():
+        lines = [f"C_{args.lam}({args.v},{args.kappa}) >= {final}"]
+        for r in reports:
+            lines.append(
+                f"  z={r.z}: r={r.r} d={r.d} s={r.s} ell={r.ell} "
+                f"k={r.k} b={r.b} contradiction={r.contradiction}"
+                + (f" ({r.reason})" if r.reason else "")
+            )
+        return "\n".join(lines)
+
+    return payload, text
 
 
 def cmd_covering_scan(args):
@@ -164,17 +169,21 @@ def cmd_covering_scan(args):
     priors = covering.load_priors(args.priors) if args.priors else None
     rows = covering.scan_table(args.kappa_min, args.kappa_max, args.lam, priors)
     table = [r.to_csv_row() for r in rows]
-    if args.format == "csv":
-        lines = [",".join(covering.CSV_COLUMNS)]
-        lines += [",".join(map(str, row)) for row in table]
-    else:
-        lines = [f"{'kappa':>5} {'v':>5} {'d':>3} {'r':>3} {'ell':>4} {'prev':>5} {'new':>5}  source"]
-        lines += [
-            f"{r.kappa:>5} {r.v:>5} {r.d:>3} {r.r:>3} {r.ell:>4} "
-            f"{r.previous:>5} {r.new:>5}  {r.source}"
-            for r in rows
-        ]
-    return table, "\n".join(lines)
+
+    def text():
+        if args.format == "csv":
+            lines = [",".join(covering.CSV_COLUMNS)]
+            lines += [",".join(map(str, row)) for row in table]
+        else:
+            lines = [f"{'kappa':>5} {'v':>5} {'d':>3} {'r':>3} {'ell':>4} {'prev':>5} {'new':>5}  source"]
+            lines += [
+                f"{r.kappa:>5} {r.v:>5} {r.d:>3} {r.r:>3} {r.ell:>4} "
+                f"{r.previous:>5} {r.new:>5}  {r.source}"
+                for r in rows
+            ]
+        return "\n".join(lines)
+
+    return table, text
 
 
 def cmd_loops(args):
@@ -183,12 +192,11 @@ def cmd_loops(args):
     D = parse_degrees(args.degrees)
     value = loops.alpha_k_min_loops(D, args.k)
     payload: dict = {"k": args.k, "alpha_min": value}
-    text = f"minimum alpha_{args.k} over loop realizations: {value}"
-    if args.construct:
-        G = loops.construct_extremal_loop_multigraph(D, args.k)
-        payload["graph"] = G.to_json()
-        text += f"\nextremal graph: {json.dumps(G.to_json())}"
-    return payload, text
+    head = f"minimum alpha_{args.k} over loop realizations: {value}"
+    if not args.construct:
+        return payload, lambda: head
+    payload["graph"] = loops.construct_extremal_loop_multigraph(D, args.k).to_json()
+    return payload, lambda: f"{head}\nextremal graph: {json.dumps(payload['graph'])}"
 
 
 _K = ("--k", {"type": int, "required": True})
@@ -256,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text = args.func(args)
-        print(text if payload is None or args.format != "json" else json.dumps(payload))
+        print(text() if payload is None or args.format != "json" else json.dumps(payload))
     except (InputError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_LIMIT

@@ -132,51 +132,31 @@ def construct_extremal_loop_multigraph(
         raise InputError("sum of degrees must be even")
     degrees = sorted(D.values())
     n = len(degrees)
-    edge_mult: dict[tuple[int, int], int] = {}
-
-    def add_edge(u: int, v: int) -> None:
-        key = (min(u, v), max(u, v))
-        edge_mult[key] = edge_mult.get(key, 0) + 1
-
     if k % 2 == 0:
         odd = [i for i in range(n) if degrees[i] % 2 == 1]
-        matched = [0] * n
-        for a, bb in zip(odd[0::2], odd[1::2]):
-            add_edge(a, bb)
-            matched[a] += 1
-            matched[bb] += 1
-        for i in range(n):
-            rest = degrees[i] - matched[i]
-            if rest:
-                edge_mult[(i, i)] = edge_mult.get((i, i), 0) + rest // 2
-        return Multigraph(n, tuple(sorted(edge_mult.items())))
-
-    s = sum(1 for d in degrees if d < k)
-    c = sum(1 for d in degrees if d == k)
-    m1: list[tuple[int, int]] = []
-    if c <= s:
-        m1 = [(i, s + i) for i in range(c)]
+        matching = list(zip(odd[0::2], odd[1::2]))
     else:
-        m1 = [(i, s + i) for i in range(s)]
-        m1 += [
-            (2 * s + 2 * i, 2 * s + 2 * i + 1)
-            for i in range((c - s) // 2)
-        ]
-    in_m1 = set()
-    for a, bb in m1:
-        in_m1.update((a, bb))
-    v_m2 = sorted(
-        [i for i in in_m1 if degrees[i] % 2 == 0]
-        + [i for i in range(n) if i not in in_m1 and degrees[i] % 2 == 1]
-    )
-    m2 = list(zip(v_m2[0::2], v_m2[1::2]))
-    non_loop = [0] * n
-    for a, bb in m1 + m2:
-        add_edge(a, bb)
-        non_loop[a] += 1
-        non_loop[bb] += 1
+        s = sum(1 for d in degrees if d < k)
+        c = sum(1 for d in degrees if d == k)
+        # elements at k pair with smaller ones, and any left over with each
+        # other (none are left when c <= s)
+        m1 = [(i, s + i) for i in range(min(c, s))]
+        m1 += [(2 * s + 2 * i, 2 * s + 2 * i + 1) for i in range((c - s) // 2)]
+        in_m1 = {v for pair in m1 for v in pair}
+        v_m2 = sorted(
+            [i for i in in_m1 if degrees[i] % 2 == 0]
+            + [i for i in range(n) if i not in in_m1 and degrees[i] % 2 == 1]
+        )
+        matching = m1 + list(zip(v_m2[0::2], v_m2[1::2]))
+    # the matching edges (never loops), then the rest of each degree as loops
+    edge_mult: dict[tuple[int, int], int] = {}
+    rest = degrees[:]
+    for u, v in matching:
+        key = (min(u, v), max(u, v))
+        edge_mult[key] = edge_mult.get(key, 0) + 1
+        rest[u] -= 1
+        rest[v] -= 1
     for i in range(n):
-        rest = degrees[i] - non_loop[i]
-        if rest:
-            edge_mult[(i, i)] = edge_mult.get((i, i), 0) + rest // 2
+        if rest[i]:
+            edge_mult[(i, i)] = rest[i] // 2
     return Multigraph(n, tuple(sorted(edge_mult.items())))

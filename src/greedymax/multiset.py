@@ -1,8 +1,9 @@
 """Multisets of nonnegative integers (degree sequences) and their conjugate profiles.
 
-A degree sequence is stored as a value -> multiplicity map.  The conjugate
-view sigma(z) = #{x in D : x >= z} is the column profile of the Ferrers
-diagram and is the workhorse for the dominance arguments elsewhere.
+A degree sequence is stored as its runs, the sorted (value, multiplicity)
+pairs.  The conjugate view sigma(z) = #{x in D : x >= z} is the column
+profile of the Ferrers diagram and is the workhorse for the dominance
+arguments elsewhere; it is read from the runs, never stored.
 """
 
 from __future__ import annotations
@@ -110,19 +111,17 @@ class DegreeSequence:
                 return m
         return 0
 
-    def sigma(self) -> "SigmaProfile":
-        """Conjugate profile: sigma(z) = number of elements >= z."""
-        if not self.items:
-            return SigmaProfile((0,))
-        top = self.items[-1][0]
-        vals = [0] * (top + 1)
-        # count elements >= z by a suffix sum over multiplicities
-        running = 0
-        mu_map = dict(self.items)
-        for z in range(top, -1, -1):
-            running += mu_map.get(z, 0)
-            vals[z] = running
-        return SigmaProfile(tuple(vals))
+    def sigma(self, z: int) -> int:
+        """Conjugate profile: the number of elements >= z, read from the
+        runs in O(d) for d distinct values."""
+        if z < 0:
+            raise InputError("sigma argument must be nonnegative")
+        count = 0
+        for v, m in reversed(self.items):
+            if v < z:
+                break
+            count += m
+        return count
 
     # -- multiset algebra ----------------------------------------------
 
@@ -134,12 +133,13 @@ class DegreeSequence:
         counts[v] -= 1
         return DegreeSequence.from_counts(counts)
 
-    def with_one(self, v: int) -> "DegreeSequence":
-        """Add a single copy of v."""
-        if v < 0:
-            raise InputError(f"negative degree {v}")
+    def replace_one(self, x: int, y: int) -> "DegreeSequence":
+        """Replace a single copy of x by y."""
+        if self.mu(x) == 0:
+            raise InputError(f"value {x} not present")
         counts = self.counts
-        counts[v] = counts.get(v, 0) + 1
+        counts[x] -= 1
+        counts[y] = counts.get(y, 0) + 1
         return DegreeSequence.from_counts(counts)
 
     # -- predicates -----------------------------------------------------
@@ -164,50 +164,32 @@ class DegreeSequence:
         return self.max_value < k
 
 
-@dataclass(frozen=True)
-class SigmaProfile:
-    """Nonincreasing column profile [sigma(0), ..., sigma(M)].
-
-    sigma(0) is the order of the multiset represented; values beyond the
-    stored tail are zero.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise InputError("profile must contain sigma(0)")
-        for a, b in zip(self.values, self.values[1:]):
-            if a < b:
-                raise InputError("profile must be nonincreasing")
-        if any(v < 0 for v in self.values):
-            raise InputError("profile values must be nonnegative")
-
-    def __call__(self, z: int) -> int:
-        if z < 0:
-            raise InputError("sigma argument must be nonnegative")
-        return self.values[z] if z < len(self.values) else 0
-
-    def to_degree_sequence(self) -> DegreeSequence:
-        """Unique multiset with this conjugate profile (mu(z) = s(z) - s(z+1))."""
-        counts: dict[int, int] = {}
-        for z in range(len(self.values)):
-            m = self(z) - self(z + 1)
-            if m:
-                counts[z] = m
-        return DegreeSequence.from_counts(counts)
-
-
 def make_degree_sequence(values: Iterable[int]) -> DegreeSequence:
     return DegreeSequence.from_values(values)
 
 
-def sigma(D: DegreeSequence) -> SigmaProfile:
-    return D.sigma()
-
-
 def from_sigma(profile: Iterable[int]) -> DegreeSequence:
-    return SigmaProfile(tuple(int(v) for v in profile)).to_degree_sequence()
+    """The unique multiset with conjugate profile [sigma(0), ..., sigma(M)]:
+    mu(z) = sigma(z) - sigma(z + 1), with sigma zero past the end.
+
+    sigma(0) is the order of the multiset; the profile must be nonempty,
+    nonincreasing and nonnegative."""
+    cols = [int(v) for v in profile]
+    if not cols:
+        raise InputError("profile must contain sigma(0)")
+    items = []
+    for z, (a, b) in enumerate(zip(cols, cols[1:])):
+        if a < b:
+            raise InputError("profile must be nonincreasing")
+        if a > b:
+            items.append((z, a - b))
+    top = len(cols) - 1
+    if cols[top] < 0:  # the least value, as the profile is nonincreasing
+        raise InputError("profile values must be nonnegative")
+    if cols[top]:
+        items.append((top, cols[top]))
+    # the runs come out in increasing value order, as DegreeSequence keeps them
+    return DegreeSequence(tuple(items))
 
 
 def mu(D: DegreeSequence, z: int) -> int:

@@ -150,7 +150,11 @@ def _expand(runs: list) -> list[int]:
 
 @dataclass(frozen=True)
 class DecrementTrace:
-    """Full record of one reduction: schedule, intermediates, and the result."""
+    """Full record of one reduction: the schedule and the result.
+
+    The intermediate states follow from it: A_i is A_{i-1} with one copy of
+    a_i replaced by a_i - 1, and omega is A_m unless the reduction is
+    degenerate."""
 
     k: int
     input: DegreeSequence
@@ -160,7 +164,6 @@ class DecrementTrace:
     a: tuple[int, ...]
     omega: DegreeSequence
     degenerate: bool
-    intermediates: tuple[DegreeSequence, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -213,9 +216,7 @@ def omega(D: DegreeSequence, k: int) -> DegreeSequence:
     return state.sequence()
 
 
-def decrement_sequence(
-    D: DegreeSequence, k: int, keep_intermediates: bool = False
-) -> DecrementTrace:
+def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     """The full decrement schedule (a_1, ..., a_s) of D, with s = sum(A_0).
 
     In the degenerate branch (reduction forced to all zeros) the schedule
@@ -235,22 +236,11 @@ def decrement_sequence(
             k=k, input=D, m=m, a0=a0, s=s, a=(),
             omega=state.sequence(), degenerate=True,
         )
-    inter: list[DegreeSequence] = []
-    if keep_intermediates:
-        # replay the whole schedule from A_0 one decrement at a time
-        runs = []
-        state = _Blocks(a0)
-        inter.append(a0)
-        for _ in range(s):
-            state.decrement(1, k, runs)
-            inter.append(state.sequence())
-        result = inter[m]
-    else:
-        result = state.sequence()
-        state.decrement(s - m, k, runs)
+    result = state.sequence()
+    state.decrement(s - m, k, runs)
     return DecrementTrace(
         k=k, input=D, m=m, a0=a0, s=s, a=tuple(_expand(runs)),
-        omega=result, degenerate=False, intermediates=tuple(inter),
+        omega=result, degenerate=False,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import InputError, LimitError
-from .multiset import DegreeSequence
+from .multiset import DegreeSequence, from_sigma
 from .omega import omega
 
 PRECEDES_MAX_ORDER = 7
@@ -35,7 +35,7 @@ def apply_decrement(E: DegreeSequence, x: int) -> DegreeSequence:
         raise InputError("decrement value must be positive")
     if x not in E:
         raise InputError(f"value {x} not in multiset")
-    return E.without_one(x).with_one(x - 1)
+    return E.replace_one(x, x - 1)
 
 
 def apply_increment(E: DegreeSequence, x: int) -> DegreeSequence:
@@ -45,7 +45,17 @@ def apply_increment(E: DegreeSequence, x: int) -> DegreeSequence:
         raise InputError("increment value must be nonnegative")
     if x not in E:
         raise InputError(f"value {x} not in multiset")
-    return E.without_one(x).with_one(x + 1)
+    return E.replace_one(x, x + 1)
+
+
+def _addition_allowed(x: int, y: int, top: int) -> bool:
+    """Side condition of an (x,y)-addition on a multiset with maximum top."""
+    return x <= y <= top + 1
+
+
+def _transfer_allowed(x: int, y: int, k: int) -> bool:
+    """Side condition of an (x,y)-transfer."""
+    return x > max(k, y) or x < y <= k
 
 
 def addition_step(E: DegreeSequence, x: int, y: int) -> DegreeSequence:
@@ -55,7 +65,7 @@ def addition_step(E: DegreeSequence, x: int, y: int) -> DegreeSequence:
         raise InputError("step parameters must be positive")
     if len(E) == 0:
         raise InputError("cannot apply a step to the empty multiset")
-    if not (x <= y <= E.max_value + 1):
+    if not _addition_allowed(x, y, E.max_value):
         raise InputError(f"addition step needs x <= y <= max+1, got ({x},{y})")
     if (x - 1) not in E:
         raise InputError(f"no element {x - 1} to raise")
@@ -72,7 +82,7 @@ def transfer_step(E: DegreeSequence, x: int, y: int, k: int) -> DegreeSequence:
         raise InputError("k must be a positive integer")
     if x < 1 or y < 1:
         raise InputError("step parameters must be positive")
-    if not (x > max(k, y) or (x < y <= k)):
+    if not _transfer_allowed(x, y, k):
         raise InputError(
             f"transfer step needs x > max(k,y) or x < y <= k, got ({x},{y}), k={k}"
         )
@@ -94,20 +104,20 @@ def applicable_steps(
     # addition steps: x-1 must be present; y up to max(E)+1
     for x_src, _ in E.items:
         x = x_src + 1
-        mid = apply_increment(E, x - 1)
+        mid = E.replace_one(x_src, x)
         for y_src, _ in mid.items:
             y = y_src + 1
-            if x <= y <= top + 1:
-                yield ElementaryStep("addition", x, y), apply_increment(mid, y - 1)
+            if _addition_allowed(x, y, top):
+                yield ElementaryStep("addition", x, y), mid.replace_one(y_src, y)
     # transfer steps: x present and positive
     for x, _ in E.items:
         if x == 0:
             continue
-        mid = apply_decrement(E, x)
+        mid = E.replace_one(x, x - 1)
         for y_src, _ in mid.items:
             y = y_src + 1
-            if x > max(k, y) or (x < y <= k):
-                yield ElementaryStep("transfer", x, y), apply_increment(mid, y - 1)
+            if _transfer_allowed(x, y, k):
+                yield ElementaryStep("transfer", x, y), mid.replace_one(y_src, y)
 
 
 def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
@@ -130,21 +140,18 @@ def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     # a transfer never raises the maximum above max(current maximum, k),
     # and each of the (sum(D) - sum(E))/2 additions raises it by at most 1
     max_elem = max(E.max_value if len(E) else 0, k) + (target_sum - E.total) // 2
-    start = tuple(E.values())
-    goal = tuple(D.values())
-    seen = {start}
+    seen = {E}
     queue = deque([E])
     while queue:
         cur = queue.popleft()
         for _, nxt in applicable_steps(cur, k):
             if nxt.total > target_sum or nxt.max_value > max_elem:
                 continue
-            key = tuple(nxt.values())
-            if key in seen:
+            if nxt in seen:
                 continue
-            if key == goal:
+            if nxt == D:
                 return True
-            seen.add(key)
+            seen.add(nxt)
             queue.append(nxt)
     return False
 
@@ -169,24 +176,17 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
     target = a0.total - m
     if target < 0:
         return []
-    sig0 = a0.sigma()
     n_out = len(E) - 1
     results: list[DegreeSequence] = []
     profile: list[int] = []
 
     def extend(z: int, remaining: int, prev: int) -> None:
         if remaining == 0:
-            counts: dict[int, int] = {}
-            full = [n_out] + profile
-            for i in range(len(full)):
-                nxt = full[i + 1] if i + 1 < len(full) else 0
-                if full[i] - nxt:
-                    counts[i] = full[i] - nxt
-            cand = DegreeSequence.from_counts(counts)
+            cand = from_sigma([n_out] + profile)
             if cand.is_graphical():
                 results.append(cand)
             return
-        cap = min(prev, sig0(z), remaining)
+        cap = min(prev, a0.sigma(z), remaining)
         for col in range(cap, 0, -1):
             # columns are nonincreasing, so at most `col` per later column:
             # unbounded depth is fine because col >= 1 shrinks `remaining`

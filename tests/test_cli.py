@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,3 +359,20 @@ def test_parser_surface(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage: greedymax")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line states its output in a comment, before any " — " remark
+    expected = [
+        line.split("#", 1)[1].split(" — ")[0].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["4", "[0, 1, 2, 3, 3, 3]", "4"]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

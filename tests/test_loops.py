@@ -33,7 +33,7 @@ def test_alpha_min_zero_degree_remark():
         for vals in ([1, 1], [2, 2, 2], [3, 3, 3, 3]):
             D = make_degree_sequence(vals)
             assert (
-                alpha_k_min_loops(D.with_one(0), k)
+                alpha_k_min_loops(make_degree_sequence(vals + [0]), k)
                 == alpha_k_min_loops(D, k) + 1
             )
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from greedymax.multiset import (
     mu,
     parse_degrees,
     render_ferrers,
-    sigma,
 )
 
 degree_lists = st.lists(st.integers(min_value=0, max_value=12), max_size=10)
@@ -61,18 +62,28 @@ def test_is_trivial_examples():
 
 def test_sigma_worked_example():
     D = make_degree_sequence([0, 1, 1, 3, 3])
-    p = sigma(D)
+    p = D.sigma
     assert [p(z) for z in range(6)] == [5, 4, 2, 2, 0, 0]
 
 
 def test_sigma_all_zero():
-    p = sigma(make_degree_sequence([0, 0]))
+    p = make_degree_sequence([0, 0]).sigma
     assert p(0) == 2 and p(1) == 0
 
 
 def test_sigma_derived_example():
-    p = sigma(make_degree_sequence([1, 2, 2, 4, 4, 5, 6]))
+    p = make_degree_sequence([1, 2, 2, 4, 4, 5, 6]).sigma
     assert [p(z) for z in range(7)] == [7, 7, 6, 4, 4, 2, 1]
+
+
+def test_sigma_of_a_huge_value_reads_the_runs():
+    # a dense profile of this sequence would hold 2**31 cells
+    D = make_degree_sequence([2**31 - 1, 1])
+    start = time.perf_counter()
+    assert [D.sigma(z) for z in (0, 1, 2, 2**31 - 1, 2**31)] == [2, 2, 1, 1, 0]
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InputError):
+        D.sigma(-1)
 
 
 def test_from_sigma_worked_example():
@@ -86,21 +97,26 @@ def test_from_sigma_zero():
 def test_from_sigma_rejects_non_monotone():
     with pytest.raises(InputError):
         from_sigma([2, 3])
+    for profile in ([], [2, -1], [-1]):
+        with pytest.raises(InputError):
+            from_sigma(profile)
 
 
 @given(degree_lists)
 def test_sigma_round_trip(vals):
     D = make_degree_sequence(vals)
-    assert from_sigma(sigma(D).values) == D
+    top = max(vals, default=0)
+    assert from_sigma([D.sigma(z) for z in range(top + 1)]) == D
 
 
 @given(degree_lists)
 def test_sigma_profile_invariants(vals):
     D = make_degree_sequence(vals)
-    p = sigma(D)
+    p = D.sigma
+    top = max(vals, default=0)
     assert p(0) == D.order
-    assert sum(p(z) for z in range(1, len(p.values) + 1)) == D.total
-    for z in range(len(p.values)):
+    assert sum(p(z) for z in range(1, top + 2)) == D.total
+    for z in range(top + 1):
         assert p(z) >= p(z + 1)
 
 
@@ -113,8 +129,19 @@ def test_mu_examples():
 @given(degree_lists, st.integers(min_value=0, max_value=13))
 def test_mu_is_sigma_difference(vals, z):
     D = make_degree_sequence(vals)
-    p = sigma(D)
+    p = D.sigma
     assert mu(D, z) == p(z) - p(z + 1)
+
+
+def test_replace_one():
+    D = make_degree_sequence([1, 2, 2])
+    assert D.replace_one(2, 5) == make_degree_sequence([1, 2, 5])
+    assert D.replace_one(1, 0) == make_degree_sequence([0, 2, 2])
+    assert D.replace_one(1, 1) == D
+    with pytest.raises(InputError):
+        D.replace_one(3, 2)  # no copy of 3
+    with pytest.raises(InputError):
+        D.replace_one(1, -1)
 
 
 def test_max_of_empty_is_error():

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from conftest import graphical_sequences, random_graphical
+import unit_schedule as ref
+from conftest import graphical_sequences, random_graphical, schedule_states
 from greedymax.errors import InputError
 from greedymax.multiset import make_degree_sequence
 from greedymax.omega import b, decrement_sequence, omega
@@ -119,11 +120,13 @@ def test_trace_contains_next_decrement_value(k):
     for D in graphical_sequences(5, 12):
         if D.is_trivial(k):
             continue
-        t = decrement_sequence(D, k, keep_intermediates=True)
+        t = decrement_sequence(D, k)
         if t.degenerate:
             continue
+        states = schedule_states(t)
+        assert states == ref.decrement_sequence(D, k)["intermediates"]
         for i in range(1, t.m + 1):
-            assert (t.a[i - 1] - 1) in t.intermediates[i]
+            assert (t.a[i - 1] - 1) in states[i]
 
 
 def test_decrement_sequence_deterministic(rng):

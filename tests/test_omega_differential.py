@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unit_schedule as ref
-from conftest import graphical_sequences
+from conftest import graphical_sequences, schedule_states
 from greedymax.covering import (
     CoveringParams,
     covering_lower_bound,
@@ -32,7 +32,12 @@ def assert_matches_reference(D, k, keep_intermediates=True):
         return
     assert omega(D, k) == ref.omega(D, k)
     expected = ref.decrement_sequence(D, k, keep_intermediates)
-    trace = decrement_sequence(D, k, keep_intermediates)
+    trace = decrement_sequence(D, k)
+    # the reference keeps the states only when asked and not degenerate;
+    # the trace determines them through its schedule
+    intermediates = expected.pop("intermediates")
+    if intermediates:
+        assert schedule_states(trace) == intermediates, (D, k)
     for name, value in expected.items():
         assert getattr(trace, name) == value, (D, k, name)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import graphical_sequences
 from greedymax.errors import InputError, LimitError
-from greedymax.multiset import make_degree_sequence, sigma
+from greedymax.multiset import make_degree_sequence
 from greedymax.omega import omega
 from greedymax.orderlab import (
     addition_step,
@@ -51,7 +51,7 @@ def test_decrement_sigma_identity(vals, data):
         return
     x = data.draw(st.sampled_from(positives))
     D = apply_decrement(E, x)
-    se, sd = sigma(E), sigma(D)
+    se, sd = E.sigma, D.sigma
     for z in range(0, max(E.values()) + 2):
         assert sd(z) == se(z) - (1 if z == x else 0)
 
@@ -94,7 +94,7 @@ def test_addition_step_sigma_identity(vals, data):
         return
     assert D.total == E.total + 2
     assert D.max_value <= top + 1
-    se, sd = sigma(E), sigma(D)
+    se, sd = E.sigma, D.sigma
     for z in range(0, top + 3):
         assert sd(z) == se(z) + (1 if z == x else 0) + (1 if z == y else 0)
 
@@ -108,7 +108,7 @@ def test_transfer_step_downward_branch():
     E = make_degree_sequence([5, 1, 0])
     D = transfer_step(E, 5, 1, 3)
     assert D == make_degree_sequence([4, 1, 1])
-    se, sd = sigma(E), sigma(D)
+    se, sd = E.sigma, D.sigma
     for z in range(0, 7):
         assert sd(z) == se(z) - (1 if z == 5 else 0) + (1 if z == 1 else 0)
 
@@ -184,11 +184,11 @@ def test_pseudo_reductions_dominate_and_sum(k):
             continue
         a0 = E.without_one(E.max_value)
         target = a0.total - E.max_value
-        s0 = sigma(a0)
+        s0 = a0.sigma
         for out in pseudo_reductions(E, k):
             assert len(out) == len(E) - 1
             assert out.total == target
-            so = sigma(out)
+            so = out.sigma
             for z in range(1, E.max_value + 2):
                 assert so(z) <= s0(z)
 
