@@ -4,10 +4,7 @@ from .errors import InputError, LimitError
 from .multiset import (
     DegreeSequence,
     from_sigma,
-    is_graphical,
-    is_trivial,
     make_degree_sequence,
-    mu,
     parse_degrees,
     render_ferrers,
 )
@@ -18,10 +15,7 @@ __all__ = [
     "LimitError",
     "DegreeSequence",
     "from_sigma",
-    "is_graphical",
-    "is_trivial",
     "make_degree_sequence",
-    "mu",
     "parse_degrees",
     "render_ferrers",
     "BTrace",

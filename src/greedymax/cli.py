@@ -168,12 +168,11 @@ def cmd_covering_scan(args):
 
     priors = covering.load_priors(args.priors) if args.priors else None
     rows = covering.scan_table(args.kappa_min, args.kappa_max, args.lam, priors)
-    table = [r.to_csv_row() for r in rows]
 
     def text():
         if args.format == "csv":
             lines = [",".join(covering.CSV_COLUMNS)]
-            lines += [",".join(map(str, row)) for row in table]
+            lines += [",".join(map(str, row)) for row in rows]
         else:
             lines = [f"{'kappa':>5} {'v':>5} {'d':>3} {'r':>3} {'ell':>4} {'prev':>5} {'new':>5}  source"]
             lines += [
@@ -183,7 +182,7 @@ def cmd_covering_scan(args):
             ]
         return "\n".join(lines)
 
-    return table, text
+    return rows, text
 
 
 def cmd_loops(args):

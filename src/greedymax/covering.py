@@ -2,8 +2,9 @@
 
 For a (v, kappa, lambda)-covering with z blocks, the excess multigraph has
 a two-valued degree sequence determined by (v, kappa, lambda, z) alone.
-If the worst-case greedy bound on that sequence exceeds z, no covering
-with z blocks exists and the covering number is at least z + 1; the test
+``apply_bound`` builds that sequence and decides the test once: if it is
+not graphical, or the worst-case greedy bound on it exceeds z, no covering
+with z blocks exists and the covering number is at least z + 1.  The test
 can be iterated.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
@@ -50,7 +52,7 @@ class CoveringBoundReport:
     ell: int
     D: DegreeSequence
     k: int
-    b_exceeds_z: bool = False  # the decision b(D, k) > z of apply_bound
+    reason: str | None  # why no covering with z blocks exists, or None
 
     @cached_property
     def b(self) -> int | None:
@@ -58,15 +60,6 @@ class CoveringBoundReport:
         graphical.  The test itself only needs the decision b > z; the
         whole chain is walked only for a report whose b is read."""
         return omega_b(self.D, self.k).b if self.D.is_graphical() else None
-
-    @property
-    def reason(self) -> str | None:
-        """Why no covering with z blocks exists, or None if the test passes."""
-        if not self.D.is_graphical():
-            return "excess degree sequence is not graphical"
-        if self.b_exceeds_z:
-            return "b > z"
-        return None
 
     @property
     def contradiction(self) -> bool:
@@ -95,9 +88,22 @@ def schonheim(v: int, kappa: int, lam: int = 1) -> int:
     return math.ceil(v * params.replication / kappa)
 
 
-def excess_profile(params: CoveringParams, z: int) -> CoveringBoundReport:
-    """Degree-sequence profile of the excess of a hypothetical covering with
-    z blocks; the decision b > z is left unfilled."""
+def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
+    """Test block count z on the degree sequence D of the excess of a
+    hypothetical covering with z blocks; a contradiction means the covering
+    number is at least z + 1.
+
+    A non-graphical D is a contradiction by itself, and its b is None.  The
+    degree sum of the excess is fixed by z, and so is its parity; among all
+    replication profiles with that sum, the balanced one tested here has the
+    smallest maximum.  So if the balanced profile fails "even sum and sum >=
+    twice the maximum", every profile fails, and no loopless excess
+    multigraph, hence no covering with z blocks, exists.
+
+    Otherwise the test is the decision b(D, k) > z from ``omega.exceeds``,
+    which on the covering scan walks about half of the reduction chain; b
+    itself is computed only if the report's ``b`` is read.  Since
+    kappa < v, r > lambda and k = r - lambda >= 1."""
     r = params.replication
     d = r * (params.kappa - 1) - params.lam * (params.v - 1)
     if params.kappa * z < r * params.v:
@@ -113,30 +119,16 @@ def excess_profile(params: CoveringParams, z: int) -> CoveringBoundReport:
         counts[high] = ell
     counts[low] = counts.get(low, 0) + params.v - ell
     D = DegreeSequence.from_counts(counts)
+    k = r - params.lam
+    if not D.is_graphical():
+        reason = "excess degree sequence is not graphical"
+    elif exceeds(D, k, z):
+        reason = "b > z"
+    else:
+        reason = None
     return CoveringBoundReport(
-        params=params, z=z, r=r, d=d, s=s, ell=ell, D=D, k=r - params.lam
+        params=params, z=z, r=r, d=d, s=s, ell=ell, D=D, k=k, reason=reason
     )
-
-
-def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
-    """Test block count z; a contradiction means the covering number is at
-    least z + 1.
-
-    The report stores the decision b(D, k) > z from ``omega.exceeds``,
-    which on the covering scan walks about half of the reduction chain;
-    b itself is computed only if the report's ``b`` is read.
-
-    A non-graphical excess profile is a contradiction by itself, and its b
-    is None.  The degree sum of the excess is fixed by z, and so is its
-    parity; among all replication profiles with that sum, the balanced one
-    tested here has the smallest maximum.  So if the balanced profile
-    fails "even sum and sum >= twice the maximum", every profile fails, and
-    no loopless excess multigraph, hence no covering with z blocks, exists.
-    Since kappa < v, r > lambda and k = r - lambda >= 1."""
-    rep = excess_profile(params, z)
-    if not rep.D.is_graphical():
-        return rep
-    return replace(rep, b_exceeds_z=exceeds(rep.D, rep.k, z))
 
 
 def covering_lower_bound(
@@ -154,23 +146,9 @@ def covering_lower_bound(
         z += 1
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    kappa: int
-    v: int
-    d: int
-    r: int
-    ell: int
-    previous: int
-    source: str
-    new: int
+ScanRow = namedtuple("ScanRow", "kappa v d r ell previous source new")
 
-    def to_csv_row(self) -> list:
-        return [self.kappa, self.v, self.d, self.r, self.ell,
-                self.previous, self.source, self.new]
-
-
-CSV_COLUMNS = ["kappa", "v", "d", "r", "ell", "previous", "source", "new"]
+CSV_COLUMNS = list(ScanRow._fields)
 
 
 def load_priors(path: str) -> dict[tuple[int, int, int], tuple[int, str]]:
@@ -185,6 +163,9 @@ def load_priors(path: str) -> dict[tuple[int, int, int], tuple[int, str]]:
                     f"priors file must have columns {sorted(required)}"
                 )
             for row in reader:
+                # DictReader fills the fields a short row lacks with None
+                if None in row.values():
+                    raise InputError(f"line {reader.line_num} has too few fields")
                 key = (int(row["kappa"]), int(row["v"]), int(row["lambda"]))
                 priors[key] = (int(row["bound"]), row["source"])
     except (OSError, ValueError) as exc:
@@ -211,6 +192,8 @@ def scan_table(
     any supplied prior; rows are emitted in (kappa, v) order."""
     if not (5 <= kappa_min <= kappa_max):
         raise InputError("need 5 <= kappa_min <= kappa_max")
+    if lam < 1:
+        raise InputError("lambda must be positive")
     priors = priors or {}
     rows: list[ScanRow] = []
     for kappa in range(kappa_min, kappa_max + 1):

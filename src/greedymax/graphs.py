@@ -95,8 +95,8 @@ class Multigraph:
 
     @staticmethod
     def from_edges(n: int, edges, loops: bool = False) -> "Multigraph":
-        """Build from an iterable of ((u, v), mult) or (u, v, mult) items of
-        integers; a loop (u, u) is rejected unless ``loops`` is set.
+        """Build from an iterable of (u, v, mult) items of integers; a loop
+        (u, u) is rejected unless ``loops`` is set.
 
         Raises LimitError when n exceeds MAX_DEGREE_SUM: a greedy run
         allocates O(n), and a graph file may state any n."""
@@ -108,12 +108,9 @@ class Multigraph:
             raise LimitError(f"vertex count {n} exceeds guard {MAX_DEGREE_SUM}")
         acc: dict[tuple[int, int], int] = {}
         for item in edges:
-            if len(item) == 3:
-                u, v, m = item
-            elif len(item) == 2:
-                (u, v), m = item
-            else:
-                raise InputError(f"edge item {item!r} must have length 2 or 3")
+            if len(item) != 3:
+                raise InputError(f"edge item {item!r} must be [u, v, multiplicity]")
+            u, v, m = item
             if type(u) is not int or type(v) is not int or type(m) is not int:
                 raise InputError(
                     f"edge {item!r}: vertices and multiplicity must be integers"
@@ -193,10 +190,12 @@ def lowest_index_chooser(candidates: Sequence[int]) -> int:
     return min(candidates)
 
 
-def make_scripted_chooser(script: Sequence[int]) -> Chooser:
+def make_scripted_chooser(script: list[int]) -> Chooser:
     """Chooser that replays a fixed deletion script (original vertex labels).
 
     It expects the candidates in ascending order, as max_run passes them."""
+    if not isinstance(script, list) or any(type(v) is not int for v in script):
+        raise InputError("deletion script must be a list of vertex integers")
     it = iter(script)
 
     def choose(candidates: Sequence[int]) -> int:
@@ -204,7 +203,7 @@ def make_scripted_chooser(script: Sequence[int]) -> Chooser:
             v = next(it)
         except StopIteration:
             raise InputError("deletion script exhausted before the run finished")
-        i = bisect_left(candidates, v) if isinstance(v, int) else len(candidates)
+        i = bisect_left(candidates, v)
         if i == len(candidates) or candidates[i] != v:
             raise InputError(f"scripted vertex {v} is not of maximum degree")
         return v

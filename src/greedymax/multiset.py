@@ -4,13 +4,16 @@ A degree sequence is stored as its runs, the sorted (value, multiplicity)
 pairs.  The conjugate view sigma(z) = #{x in D : x >= z} is the column
 profile of the Ferrers diagram and is the workhorse for the dominance
 arguments elsewhere; it is read from the runs, never stored.
+
+Every query or edit of a sequence is a ``DegreeSequence`` method; the
+module functions build, guard or render sequences.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError, LimitError
 
@@ -89,9 +92,6 @@ class DegreeSequence:
         for v, m in self.items:
             out.extend([v] * m)
         return out
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values())
 
     def __len__(self) -> int:
         return self.order
@@ -190,20 +190,6 @@ def from_sigma(profile: Iterable[int]) -> DegreeSequence:
         items.append((top, cols[top]))
     # the runs come out in increasing value order, as DegreeSequence keeps them
     return DegreeSequence(tuple(items))
-
-
-def mu(D: DegreeSequence, z: int) -> int:
-    if z < 0:
-        raise InputError("mu argument must be nonnegative")
-    return D.mu(z)
-
-
-def is_graphical(D: DegreeSequence) -> bool:
-    return D.is_graphical()
-
-
-def is_trivial(D: DegreeSequence, k: int) -> bool:
-    return D.is_trivial(k)
 
 
 def parse_degrees(text: str) -> DegreeSequence:

@@ -152,14 +152,13 @@ def _expand(runs: list) -> list[int]:
 class DecrementTrace:
     """Full record of one reduction: the schedule and the result.
 
-    The intermediate states follow from it: A_i is A_{i-1} with one copy of
-    a_i replaced by a_i - 1, and omega is A_m unless the reduction is
-    degenerate."""
+    The intermediate states follow from it: A_0 is the input without one
+    copy of m, A_i is A_{i-1} with one copy of a_i replaced by a_i - 1, and
+    omega is A_m unless the reduction is degenerate."""
 
     k: int
     input: DegreeSequence
     m: int
-    a0: DegreeSequence
     s: int
     a: tuple[int, ...]
     omega: DegreeSequence
@@ -227,19 +226,18 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
         raise InputError("input is trivial")
     check_degree_sum(D)
     m = D.max_value
-    a0 = D.without_one(m)
     s = D.total - m
     state = _Blocks(D)
     runs: list = []
     if state.reduce(k, runs):
         return DecrementTrace(
-            k=k, input=D, m=m, a0=a0, s=s, a=(),
+            k=k, input=D, m=m, s=s, a=(),
             omega=state.sequence(), degenerate=True,
         )
     result = state.sequence()
     state.decrement(s - m, k, runs)
     return DecrementTrace(
-        k=k, input=D, m=m, a0=a0, s=s, a=tuple(_expand(runs)),
+        k=k, input=D, m=m, s=s, a=tuple(_expand(runs)),
         omega=result, degenerate=False,
     )
 

@@ -50,8 +50,9 @@ def random_graphical(rng: random.Random, max_order=7, max_sum=18) -> DegreeSeque
 
 def schedule_states(trace) -> tuple[DegreeSequence, ...]:
     """A_0, ..., A_s of a non-degenerate ``DecrementTrace``, rebuilt from
-    A_0 and the schedule: A_i is A_{i-1} with one a_i lowered to a_i - 1."""
-    states = [trace.a0]
+    the input and the schedule: A_0 is the input without one copy of m, and
+    A_i is A_{i-1} with one a_i lowered to a_i - 1."""
+    states = [trace.input.without_one(trace.m)]
     for x in trace.a:
         states.append(states[-1].replace_one(x, x - 1))
     return tuple(states)

@@ -127,7 +127,7 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--k", "1", "--graph", str(bad))
     assert code == 2
     # n must be a nonnegative JSON integer, vertices and multiplicities JSON
-    # integers, and an edge item must have length 2 or 3
+    # integers, and an edge item exactly [u, v, multiplicity]
     for data in (
         {"n": -2, "edges": []},
         {"n": 3, "edges": [[0]]},
@@ -138,6 +138,7 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
         {"n": 3, "edges": [[0, True, 1]]},
         {"n": 3, "edges": [[0, 1, 1, 1]]},
         {"n": 3, "edges": [[[0, 1, 2], 1]]},
+        {"n": 3, "edges": [[[0, 1], 1]]},
     ):
         bad.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "--k", "1", "--graph", str(bad))
@@ -145,7 +146,9 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
     script = tmp_path / "s.json"
-    for text in ("[0]", '{"deletions": ["0"]}'):
+    # the deletions must be a list of JSON integers
+    for text in ("[0]", '{"deletions": ["0"]}', '{"deletions": 5}',
+                 '{"deletions": [true]}'):
         script.write_text(text)
         code, _, err = run(
             capsys, "verify", "--k", "1", "--graph", str(graph), "--script", str(script)
@@ -199,6 +202,8 @@ def test_lab_precedes(capsys):
         "--d", "1,2,3,4,4,5,7", "--e", "1,2,2,4,4,5,6",
     )
     assert code == 0 and json.loads(out)["precedes"] is True
+    code, out, err = run(capsys, "lab", "precedes", "--k", "0", "--d", "2,2", "--e", "1,1")
+    assert (code, out, err) == (2, "", "error: k must be a positive integer\n")
 
 
 def test_lab_pseudo_reductions(capsys):
@@ -273,6 +278,15 @@ def test_covering_scan_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "kappa,v,d,r,ell,previous,source,new"
     assert any(line.startswith("14,50,3,4,24,16,") for line in lines)
+
+
+def test_covering_scan_rejects_lambda_below_1(capsys):
+    for lam in ("0", "-1"):
+        code, out, err = run(
+            capsys, "covering-scan", "--kappa-min", "14", "--kappa-max", "14",
+            "--lambda", lam,
+        )
+        assert (code, out, err) == (2, "", "error: lambda must be positive\n")
 
 
 def test_loops_command(capsys):

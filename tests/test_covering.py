@@ -4,7 +4,6 @@ from greedymax.covering import (
     CoveringParams,
     apply_bound,
     covering_lower_bound,
-    excess_profile,
     load_priors,
     scan_range,
     scan_table,
@@ -36,26 +35,26 @@ def test_schonheim_rejects_bad_params():
 
 
 def test_excess_profile_worked_example():
-    rep = excess_profile(CoveringParams(50, 14, 1), 16)
+    rep = apply_bound(CoveringParams(50, 14, 1), 16)
     assert (rep.r, rep.d, rep.s, rep.ell) == (4, 3, 0, 24)
     assert rep.D == make_degree_sequence([16] * 24 + [3] * 26)
     assert rep.k == 3
 
 
 def test_excess_profile_table_row():
-    rep = excess_profile(CoveringParams(56, 16, 1), 15)
+    rep = apply_bound(CoveringParams(56, 16, 1), 15)
     assert (rep.d, rep.r, rep.ell) == (5, 4, 16)
 
 
 def test_excess_profile_small_case():
-    rep = excess_profile(CoveringParams(5, 4, 1), 3)
+    rep = apply_bound(CoveringParams(5, 4, 1), 3)
     assert (rep.r, rep.d, rep.s, rep.ell) == (2, 2, 0, 2)
     assert rep.D == make_degree_sequence([5, 5, 2, 2, 2])
 
 
 def test_excess_profile_below_replication_bound():
     with pytest.raises(InputError):
-        excess_profile(CoveringParams(50, 14, 1), 14)
+        apply_bound(CoveringParams(50, 14, 1), 14)
 
 
 def test_covering_lower_bound_worked_example():
@@ -84,7 +83,7 @@ def test_excess_sum_identity():
         (CoveringParams(155, 19, 1), 74),
         (CoveringParams(5, 4, 1), 4),
     ]:
-        rep = excess_profile(params, z)
+        rep = apply_bound(params, z)
         surplus = params.kappa * z - rep.r * params.v
         assert rep.s * params.v + rep.ell == surplus
         assert rep.D.total == params.v * rep.d + surplus * (params.kappa - 1)
@@ -140,6 +139,10 @@ def test_load_priors_malformed(tmp_path):
         load_priors(str(p))
     with pytest.raises(InputError):
         load_priors(str(tmp_path / "missing.csv"))
+    # a short row: DictReader fills the missing fields with None
+    p.write_text("kappa,v,lambda,bound,source\n5,21\n")
+    with pytest.raises(InputError, match="malformed priors file"):
+        load_priors(str(p))
 
 
 def test_apply_bound_fills_b():

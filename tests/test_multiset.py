@@ -8,10 +8,7 @@ from greedymax.errors import InputError
 from greedymax.multiset import (
     DegreeSequence,
     from_sigma,
-    is_graphical,
-    is_trivial,
     make_degree_sequence,
-    mu,
     parse_degrees,
     render_ferrers,
 )
@@ -42,22 +39,22 @@ def test_make_degree_sequence_rejects_negative():
 
 
 def test_is_graphical_examples():
-    assert is_graphical(make_degree_sequence([1, 2, 2, 4, 4, 5, 6]))
-    assert not is_graphical(make_degree_sequence([3]))
-    assert not is_graphical(make_degree_sequence([5, 1]))
-    assert is_graphical(make_degree_sequence([]))
-    assert is_graphical(make_degree_sequence([0, 0, 0]))
+    assert make_degree_sequence([1, 2, 2, 4, 4, 5, 6]).is_graphical()
+    assert not make_degree_sequence([3]).is_graphical()
+    assert not make_degree_sequence([5, 1]).is_graphical()
+    assert make_degree_sequence([]).is_graphical()
+    assert make_degree_sequence([0, 0, 0]).is_graphical()
 
 
 @given(st.integers(min_value=1, max_value=50))
 def test_singleton_never_graphical(x):
-    assert not is_graphical(make_degree_sequence([x]))
+    assert not make_degree_sequence([x]).is_graphical()
 
 
 def test_is_trivial_examples():
-    assert is_trivial(make_degree_sequence([0, 0, 0, 0]), 3)
-    assert not is_trivial(make_degree_sequence([0, 0, 0, 3, 3]), 3)
-    assert is_trivial(make_degree_sequence([]), 1)
+    assert make_degree_sequence([0, 0, 0, 0]).is_trivial(3)
+    assert not make_degree_sequence([0, 0, 0, 3, 3]).is_trivial(3)
+    assert make_degree_sequence([]).is_trivial(1)
 
 
 def test_sigma_worked_example():
@@ -122,15 +119,15 @@ def test_sigma_profile_invariants(vals):
 
 def test_mu_examples():
     D = make_degree_sequence([0, 1, 1, 3, 3])
-    assert mu(D, 1) == 2
-    assert mu(D, 2) == 0
+    assert D.mu(1) == 2
+    assert D.mu(2) == 0
 
 
 @given(degree_lists, st.integers(min_value=0, max_value=13))
 def test_mu_is_sigma_difference(vals, z):
     D = make_degree_sequence(vals)
     p = D.sigma
-    assert mu(D, z) == p(z) - p(z + 1)
+    assert D.mu(z) == p(z) - p(z + 1)
 
 
 def test_replace_one():
@@ -138,10 +135,21 @@ def test_replace_one():
     assert D.replace_one(2, 5) == make_degree_sequence([1, 2, 5])
     assert D.replace_one(1, 0) == make_degree_sequence([0, 2, 2])
     assert D.replace_one(1, 1) == D
+    # single decrements x -> x - 1 and increments x -> x + 1
+    for vals, x, y, out in [
+        ([1, 2, 2, 4, 4, 5], 5, 4, [1, 2, 2, 4, 4, 4]),
+        ([1], 1, 0, [0]),
+        ([1, 2, 2, 4, 4, 5, 6], 2, 3, [1, 2, 3, 4, 4, 5, 6]),
+        ([0], 0, 1, [1]),
+    ]:
+        assert make_degree_sequence(vals).replace_one(x, y) == make_degree_sequence(out)
     with pytest.raises(InputError):
         D.replace_one(3, 2)  # no copy of 3
     with pytest.raises(InputError):
         D.replace_one(1, -1)
+    for vals, x, y in [([1, 2], 3, 2), ([0], 0, -1), ([1], 2, 3)]:
+        with pytest.raises(InputError):
+            make_degree_sequence(vals).replace_one(x, y)
 
 
 def test_max_of_empty_is_error():

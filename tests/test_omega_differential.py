@@ -107,22 +107,26 @@ def test_exceeds_matches_b_on_huge_degrees(D, k):
 
 
 def scan_z_tests(kappa_min, kappa_max):
-    """Every report of a z-test on a graphical excess profile that the
-    covering scan of kappa_min..kappa_max makes."""
+    """Every report of a z-test that the covering scan of
+    kappa_min..kappa_max makes."""
     for kappa in range(kappa_min, kappa_max + 1):
         for v in scan_range(kappa):
             start = schonheim(v, kappa)
             _, reports = covering_lower_bound(CoveringParams(v, kappa, 1), start)
-            yield from (rep for rep in reports if rep.D.is_graphical())
+            yield from reports
 
 
 def test_exceeds_matches_b_on_every_scan_z_test():
     checks = 0
     for rep in scan_z_tests(5, 12):
+        if not rep.D.is_graphical():
+            assert rep.contradiction and rep.b is None, rep
+            continue
         bound = b(rep.D, rep.k).b
         assert exceeds(rep.D, rep.k, rep.z) == (bound > rep.z), rep
         # the report stores the decision and computes b when it is read
-        assert rep.b_exceeds_z == (bound > rep.z) and rep.b == bound
+        assert rep.contradiction == (bound > rep.z) and rep.b == bound
+        assert rep.reason == ("b > z" if bound > rep.z else None)
         checks += 1
     # the z-tests of the kappa 5..12 scan on graphical excess profiles
     assert checks == 596

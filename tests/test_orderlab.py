@@ -11,8 +11,6 @@ from greedymax.omega import omega
 from greedymax.orderlab import (
     addition_step,
     applicable_steps,
-    apply_decrement,
-    apply_increment,
     precedes,
     pseudo_reductions,
     transfer_step,
@@ -23,26 +21,6 @@ nonempty_lists = st.lists(
 )
 
 
-def test_apply_decrement_examples():
-    assert apply_decrement(
-        make_degree_sequence([1, 2, 2, 4, 4, 5]), 5
-    ) == make_degree_sequence([1, 2, 2, 4, 4, 4])
-    assert apply_decrement(make_degree_sequence([1]), 1) == make_degree_sequence([0])
-    with pytest.raises(InputError):
-        apply_decrement(make_degree_sequence([1, 2]), 3)
-    with pytest.raises(InputError):
-        apply_decrement(make_degree_sequence([0]), 0)
-
-
-def test_apply_increment_examples():
-    assert apply_increment(
-        make_degree_sequence([1, 2, 2, 4, 4, 5, 6]), 2
-    ) == make_degree_sequence([1, 2, 3, 4, 4, 5, 6])
-    assert apply_increment(make_degree_sequence([0]), 0) == make_degree_sequence([1])
-    with pytest.raises(InputError):
-        apply_increment(make_degree_sequence([1]), 2)
-
-
 @given(nonempty_lists, st.data())
 def test_decrement_sigma_identity(vals, data):
     E = make_degree_sequence(vals)
@@ -50,7 +28,7 @@ def test_decrement_sigma_identity(vals, data):
     if not positives:
         return
     x = data.draw(st.sampled_from(positives))
-    D = apply_decrement(E, x)
+    D = E.replace_one(x, x - 1)
     se, sd = E.sigma, D.sigma
     for z in range(0, max(E.values()) + 2):
         assert sd(z) == se(z) - (1 if z == x else 0)
@@ -60,7 +38,7 @@ def test_decrement_sigma_identity(vals, data):
 def test_increment_then_decrement_round_trip(vals, data):
     E = make_degree_sequence(vals)
     x = data.draw(st.sampled_from(E.values()))
-    assert apply_decrement(apply_increment(E, x), x + 1) == E
+    assert E.replace_one(x, x + 1).replace_one(x + 1, x) == E
 
 
 def test_addition_step_worked_example():
