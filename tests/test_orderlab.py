@@ -21,6 +21,28 @@ nonempty_lists = st.lists(
 )
 
 
+def test_apply_decrement_examples():
+    # a decrement of one copy of x is replace_one(x, x - 1)
+    assert make_degree_sequence([1, 2, 2, 4, 4, 5]).replace_one(
+        5, 4
+    ) == make_degree_sequence([1, 2, 2, 4, 4, 4])
+    assert make_degree_sequence([1]).replace_one(1, 0) == make_degree_sequence([0])
+    with pytest.raises(InputError):
+        make_degree_sequence([1, 2]).replace_one(3, 2)
+    with pytest.raises(InputError):
+        make_degree_sequence([0]).replace_one(0, -1)
+
+
+def test_apply_increment_examples():
+    # an increment of one copy of x is replace_one(x, x + 1)
+    assert make_degree_sequence([1, 2, 2, 4, 4, 5, 6]).replace_one(
+        2, 3
+    ) == make_degree_sequence([1, 2, 3, 4, 4, 5, 6])
+    assert make_degree_sequence([0]).replace_one(0, 1) == make_degree_sequence([1])
+    with pytest.raises(InputError):
+        make_degree_sequence([1]).replace_one(2, 3)
+
+
 @given(nonempty_lists, st.data())
 def test_decrement_sigma_identity(vals, data):
     E = make_degree_sequence(vals)
