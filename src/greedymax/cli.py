@@ -36,7 +36,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and
+    # integers too long to convert; deep nesting raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON file {path}: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, LimitError
 from .multiset import MAX_DEGREE_SUM, DegreeSequence, check_degree_sum
-from .omega import reduction_chain
+from .omega import b
 
 WORST_CASE_MAX_ORDER = 9
 
@@ -30,16 +30,14 @@ Chooser = Callable[[Sequence[int]], int]
 
 
 class _DegreeIndex:
-    """Vertices bucketed by degree, shared by realize, max_run and
-    construct_worst_case.
+    """Vertices bucketed by degree, shared by realize and max_run.
 
     ``deg[v]`` is the current degree of v, ``buckets[d]`` a min-heap of the
     vertices of degree d (so the lowest index pops first) and ``levels`` a
-    max-heap, stored negated, of the degrees that have a bucket.  Each
-    caller moves every vertex one way only (degrees fall in realize and
-    max_run and rise in construct_worst_case), so an entry that ``push``
-    leaves behind in the old bucket never becomes valid again; ``members``
-    drops such entries."""
+    max-heap, stored negated, of the degrees that have a bucket.  Both
+    callers only lower degrees, so an entry that ``push`` leaves behind in
+    the old bucket never becomes valid again; ``members`` drops such
+    entries."""
 
     __slots__ = ("deg", "buckets", "levels")
 
@@ -292,39 +290,48 @@ def construct_worst_case(
     """Multigraph with degree sequence D plus a legal deletion script whose
     survivor count is exactly the omega-chain bound.
 
-    Walks the reduction chain D = D_0, D_1, ..., D_j down to the last term
-    whose reduction is trivial, realizes D_j directly (one deletion finishes
-    its run), then rebuilds D_{j-1}, ..., D_0: each level appends a new
-    maximum-degree vertex and wires it back along the reversed first m
-    entries of that level's decrement schedule, always attaching to the
-    lowest-index vertex of the needed degree.  Raises LimitError when
-    sum(D) exceeds MAX_DEGREE_SUM."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    if not D.is_graphical():
-        raise InputError("input is not graphical")
+    Takes the reduction chain D = D_0, D_1, ..., D_j of ``b`` down to the
+    last term whose reduction is trivial and realizes D_j directly (one
+    deletion of vertex 0 finishes its run).  It then rebuilds D_{j-1}, ...,
+    D_0, each level adding a vertex u of degree m = max(D_i), so that the
+    script deletes n-1, ..., n-j and then 0.  Below the top rank, sorted D_i
+    is A_0, D_i less one copy of m, and D_{i+1} is A_0 after m unit
+    decrements.  Each decrement lowers exactly one rank of the sorted
+    sequence, so the rise A_0[r] - D_{i+1}[r] at every rank r is >= 0 and
+    the rises sum to m: u gets an edge of that multiplicity to the vertex
+    that holds rank r.  The vertices are kept in a list sorted by degree
+    (``realize`` labels them by decreasing degree, and each new vertex is
+    the top rank), and one merge walk over the runs of the two terms finds
+    the ranges of equal rise, so a level costs O(d + vertices raised)
+    whatever the size of the degrees.  Raises LimitError when sum(D)
+    exceeds MAX_DEGREE_SUM, because ``realize`` works per unit of degree."""
+    chain = b(D, k).chain
     check_degree_sum(D)
-    if D.is_trivial(k):
-        return realize(D), []
-    heads: list[list[int]] = []
-    chain = reduction_chain(D, k, heads)
     j = len(chain) - 2  # chain[j] is the last nontrivial term
+    if j < 0:
+        return realize(D), []
     G = realize(chain[j])
-    index = _DegreeIndex(G.degrees())
-    deg = index.deg
-    script = [len(D) - 1 - i for i in range(j)] + [deg.index(max(deg))]
-    edges = dict(G.edges)
-    for head in reversed(heads[:j]):
-        u = len(deg)  # the new maximum-degree vertex
-        # replay the first m decrements in reverse: the i-th of them gives
-        # the new vertex an edge to a vertex of degree a_i - 1
-        for want in reversed(head):
-            target = index.pop(want - 1)
-            edges[(target, u)] = edges.get((target, u), 0) + 1
-            index.push(target, want)
-        deg.append(len(head))
-        index.push(u, len(head))
-    return Multigraph(len(D), tuple(sorted(edges.items()))), script
+    edges = list(G.edges)
+    order = list(range(G.n - 1, -1, -1))  # the vertices by rising degree
+    for i in range(j - 1, -1, -1):
+        u = len(order)  # the new vertex, above every rank of D_{i+1}
+        # split each run of D_{i+1} at the run ends of D_i, whose ranks
+        # below u are those of A_0
+        above = iter(chain[i].items)
+        a = a_end = r = 0
+        for c, count in chain[i + 1].items:
+            c_end = r + count
+            while r < c_end:
+                if r == a_end:
+                    a, more = next(above)
+                    a_end += more
+                stop = min(a_end, c_end)
+                if a > c:
+                    edges.extend([((v, u), a - c) for v in order[r:stop]])
+                r = stop
+        order.append(u)
+    script = list(range(len(D) - 1, len(D) - 1 - j, -1)) + [0]
+    return Multigraph(len(D), tuple(sorted(edges))), script
 
 
 def random_rewiring(

@@ -21,9 +21,10 @@ MAX_DEGREE = 2**31 - 1
 
 # Largest degree sum accepted by the routines whose output or work grows
 # with it: omega.decrement_sequence (the schedule a has about sum(D)
-# entries), graphs.construct_worst_case (one edge unit per unit of degree)
-# and render_ferrers (one cell per unit).  It also bounds the vertex count
-# of a graphs.Multigraph built from edges.
+# entries), graphs.construct_worst_case (its graphs.realize of the last
+# nontrivial chain term joins one edge unit at a time) and render_ferrers
+# (one cell per unit).  It also bounds the vertex count of a
+# graphs.Multigraph built from edges.
 MAX_DEGREE_SUM = 2**21
 
 # one item of a JSON integer array, with the whitespace JSON allows

@@ -49,8 +49,7 @@ class _Blocks:
 
     def reduce(self, k: int, runs: list | None = None) -> bool:
         """One application of the operator, in place; the one step that
-        ``omega``, ``decrement_sequence``, ``reduction_chain`` and
-        ``exceeds`` share.
+        ``omega``, ``decrement_sequence``, ``b`` and ``exceeds`` share.
 
         Raises InputError unless the state is graphical (even sum, at least
         twice the maximum), drops one copy of the maximum m and applies the
@@ -242,26 +241,6 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     )
 
 
-def reduction_chain(
-    D: DegreeSequence, k: int, heads: list | None = None
-) -> list[DegreeSequence]:
-    """D, O(D), O^2(D), ... down to the first trivial term.
-
-    One block state is carried along the whole chain.  If ``heads`` is a
-    list, the first m entries of each step's decrement schedule (the ones
-    that define the reduced sequence) are appended to it, one list per
-    step.  The caller checks that k >= 1 and that D is graphical."""
-    state = _Blocks(D)
-    chain = [D]
-    while state.top >= k:
-        runs = None if heads is None else []
-        state.reduce(k, runs)
-        if heads is not None:
-            heads.append(_expand(runs))
-        chain.append(state.sequence())
-    return chain
-
-
 def b(D: DegreeSequence, k: int) -> BTrace:
     """Worst-case greedy k-independent set size over realizations of D.
 
@@ -270,7 +249,11 @@ def b(D: DegreeSequence, k: int) -> BTrace:
     plus the copy kept in the chain), so a chain of p <= n steps costs
     O(p * d), whatever the size of the degrees."""
     _check_graphical(D, k)
-    chain = reduction_chain(D, k)
+    state = _Blocks(D)  # one block state carried along the whole chain
+    chain = [D]
+    while state.top >= k:
+        state.reduce(k)
+        chain.append(state.sequence())
     p = len(chain) - 1
     return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p)
 
@@ -279,8 +262,8 @@ def exceeds(D: DegreeSequence, k: int, z: int) -> bool:
     """Whether b(D, k) > z, decided without walking the whole chain.
 
     With p the number of steps of the reduction chain of D, b = n - p, so
-    the answer is p < n - z.  The walk carries the block state of
-    ``reduction_chain`` and stops at the first of two points:
+    the answer is p < n - z.  The walk carries the block state of ``b``
+    and stops at the first of two points:
 
     - p >= n - z: the answer is False.
     - p + #{x >= k} < n - z: the answer is True.  A step only runs while

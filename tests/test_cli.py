@@ -154,6 +154,17 @@ def test_verify_malformed_file_exits_2(capsys, tmp_path):
             capsys, "verify", "--k", "1", "--graph", str(graph), "--script", str(script)
         )
         assert code == 2 and "script" in err
+    # unreadable files: not UTF-8, an integer too long to convert, and
+    # arrays nested too deep for the decoder
+    for raw in (b'\xff{"n": 2, "edges": []}',
+                b'{"n": 2, "edges": [[0, 1' + b"0" * 5000 + b', 1]]}',
+                b"[" * 100000 + b"]" * 100000):
+        bad.write_bytes(raw)
+        for files in (("--graph", str(bad)),
+                      ("--graph", str(graph), "--script", str(bad))):
+            code, out, err = run(capsys, "verify", "--k", "1", *files)
+            assert code == 2 and out == "", raw[:20]
+            assert err.startswith(f"error: cannot read JSON file {bad}"), err
 
 
 def test_verify_vertex_count_guard_exits_3(capsys, tmp_path):

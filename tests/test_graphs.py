@@ -162,13 +162,31 @@ def test_construct_worst_case_trivial_input():
 
 
 def test_construct_worst_case_matches_b(rng):
-    for _ in range(200):
-        D = random_graphical(rng, max_order=8, max_sum=16)
-        k = rng.choice([1, 2, 3, 4])
+    cases = [(random_graphical(rng, max_order=8, max_sum=16), rng.choice([1, 2, 3, 4]))
+             for _ in range(200)]
+    # large degrees: the sum of the first is exactly the guard 2^21
+    cases += [(make_degree_sequence([2**18] * 8), 3),
+              (make_degree_sequence([2**16] * 3 + [2]), 1)]
+    for D, k in cases:
         G, script = construct_worst_case(D, k)
         assert degree_sequence_of(G) == D
         survivors, _ = max_run(G, k, make_scripted_chooser(script))
         assert len(survivors) == b(D, k).b
+
+
+def test_construct_worst_case_over_the_corpus():
+    # every graphical sequence of order <= 7 and sum <= 22, k = 1..5
+    for D in graphical_sequences(7, 22):
+        n = len(D)
+        for k in range(1, 6):
+            bound = b(D, k)
+            G, script = construct_worst_case(D, k)
+            assert degree_sequence_of(G) == D
+            j = bound.p - 1
+            assert script == ([n - 1 - i for i in range(j)] + [0] if j >= 0 else [])
+            survivors, _ = max_run(G, k, make_scripted_chooser(script))
+            assert len(survivors) == bound.b
+            assert max_worst_case(G, k)[0] == bound.b, (D, k)
 
 
 def test_random_rewiring_preserves_degrees(rng):
