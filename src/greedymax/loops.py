@@ -136,8 +136,8 @@ def construct_extremal_loop_multigraph(
         odd = [i for i in range(n) if degrees[i] % 2 == 1]
         matching = list(zip(odd[0::2], odd[1::2]))
     else:
-        s = sum(1 for d in degrees if d < k)
-        c = sum(1 for d in degrees if d == k)
+        # zeros are rejected above, so #{0 < x < k} is #{x < k}
+        _, s, c = _split(D, k)
         # elements at k pair with smaller ones, and any left over with each
         # other (none are left when c <= s)
         m1 = [(i, s + i) for i in range(min(c, s))]

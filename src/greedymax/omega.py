@@ -6,6 +6,14 @@ maximum while it exceeds k, otherwise off the smallest positive element.
 The state after m decrements is the reduced sequence; iterating until the
 result is trivial yields the tight worst-case size b_k(D) of a greedy
 k-independent set.
+
+No value ever rises during the schedule, so its s = sum(A_0) steps, with
+A_0 the input less one m, follow from A_0 in two phases.  First the
+elements above k sink to k: the top run goes down one level at a time,
+each level listed once per element of the run, and every run it reaches
+joins it.  Then every element is at most k, and each falls to 0 in turn,
+smallest first.  ``decrement_sequence`` writes the schedule this way in
+O(d + s) for d distinct values.
 """
 
 from __future__ import annotations
@@ -25,9 +33,9 @@ class _Blocks:
     and ``total`` are updated in O(1) per change.  The schedule only ever
     moves whole runs: above k the top block of multiplicity c drops one
     level per c decrements, and at or below k the smallest positive element
-    falls straight to 0.  ``decrement`` therefore applies a budget of t
-    decrements in closed form, one block at a time, and its cost does not
-    depend on t or on the size of the values."""
+    falls straight to 0.  ``reduce`` therefore applies its m decrements in
+    closed form, one block at a time, and its cost does not depend on m or
+    on the size of the values."""
 
     __slots__ = ("blocks", "zeros", "order", "total")
 
@@ -47,16 +55,15 @@ class _Blocks:
         items = tuple(self.blocks)
         return DegreeSequence(((0, self.zeros),) + items if self.zeros else items)
 
-    def reduce(self, k: int, runs: list | None = None) -> bool:
+    def reduce(self, k: int) -> bool:
         """One application of the operator, in place; the one step that
         ``omega``, ``decrement_sequence``, ``b`` and ``exceeds`` share.
 
         Raises InputError unless the state is graphical (even sum, at least
         twice the maximum), drops one copy of the maximum m and applies the
-        first m scheduled decrements, recorded in ``runs`` as ``decrement``
-        does.  When what is left sums to less than m + 2k or has its
-        maximum below k, the reduction is forced to all zeros instead, and
-        True is returned for that degenerate branch."""
+        first m scheduled decrements.  When what is left sums to less than
+        m + 2k or has its maximum below k, the reduction is forced to all
+        zeros instead, and True is returned for that degenerate branch."""
         blocks = self.blocks
         total = self.total
         m, c = blocks[-1] if blocks else (0, 0)
@@ -74,21 +81,10 @@ class _Blocks:
             self.zeros, self.total = self.order, 0
             blocks.clear()
             return True
-        self.total = total
-        self.decrement(m, k, runs)
-        return False
-
-    def decrement(self, t: int, k: int, runs: list | None = None) -> None:
-        """Apply the next t scheduled decrements.
-
-        If ``runs`` is a list, the decremented values are appended to it as
-        runs (hi, lo, each, times): the values hi, hi-1, ..., lo+1, each
-        repeated ``each`` times, the whole repeated ``times`` times."""
-        blocks = self.blocks
-        self.total -= t
+        # what is left sums to at least m + 2k, so the blocks never run out
+        self.total = total - m
+        t = m
         while t:
-            if not blocks:
-                raise InputError("no positive element")
             v, c = blocks[-1]
             if v > k:
                 # the top block sinks to the next value or to k
@@ -105,17 +101,12 @@ class _Blocks:
                     elif r:
                         blocks.append((w - 1, r))
                     blocks.append((w, c - r))
-                    if runs is not None:
-                        runs.append((v, w, c, 1))
-                        runs.append((w, w - 1, r, 1))
-                    return
+                    break
                 t -= c * (v - floor)
                 if floor == below:
                     blocks[-1] = (below, blocks[-1][1] + c)
                 else:
                     blocks.append((floor, c))
-                if runs is not None:
-                    runs.append((v, floor, c, 1))
             else:
                 # the smallest positive elements fall to 0 one at a time
                 x, c = blocks.popleft()
@@ -128,23 +119,10 @@ class _Blocks:
                         blocks.appendleft((x, left))
                     if r:
                         blocks.appendleft((x - r, 1))
-                    if runs is not None:
-                        runs.append((x, 0, 1, q))
-                        runs.append((x, x - r, 1, 1))
-                    return
+                    break
                 t -= c * x
                 self.zeros += c
-                if runs is not None:
-                    runs.append((x, 0, 1, c))
-
-
-def _expand(runs: list) -> list[int]:
-    """The decremented values recorded by ``_Blocks.decrement``, in order."""
-    out: list[int] = []
-    for hi, lo, each, times in runs:
-        seg = [v for v in range(hi, lo, -1) for _ in range(each)]
-        out.extend(seg * times)
-    return out
+        return False
 
 
 @dataclass(frozen=True)
@@ -153,7 +131,9 @@ class DecrementTrace:
 
     The intermediate states follow from it: A_0 is the input without one
     copy of m, A_i is A_{i-1} with one copy of a_i replaced by a_i - 1, and
-    omega is A_m unless the reduction is degenerate."""
+    omega is A_m unless the reduction is degenerate.  The schedule ``a``
+    lists the levels the elements above k pass through as they sink to k,
+    then each element counting down from min(x, k) to 1, smallest first."""
 
     k: int
     input: DegreeSequence
@@ -217,27 +197,40 @@ def omega(D: DegreeSequence, k: int) -> DegreeSequence:
 def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     """The full decrement schedule (a_1, ..., a_s) of D, with s = sum(A_0).
 
-    In the degenerate branch (reduction forced to all zeros) the schedule
-    is unused and returned empty.  Raises LimitError when sum(D) exceeds
-    MAX_DEGREE_SUM."""
+    The schedule is written from A_0 in its two phases, in O(d + s).  In
+    the degenerate branch (reduction forced to all zeros) it is unused and
+    returned empty.  Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
     _check_reducible(D, k)
     if D.is_trivial(k):
         raise InputError("input is trivial")
     check_degree_sum(D)
     m = D.max_value
-    s = D.total - m
     state = _Blocks(D)
-    runs: list = []
-    if state.reduce(k, runs):
-        return DecrementTrace(
-            k=k, input=D, m=m, s=s, a=(),
-            omega=state.sequence(), degenerate=True,
-        )
-    result = state.sequence()
-    state.decrement(s - m, k, runs)
+    degenerate = state.reduce(k)
+    a: list[int] = []
+    items = () if degenerate else D.without_one(m).items  # A_0's runs
+    # sink to k; c counts the elements above k, all at the current level
+    c = 0
+    for i in range(len(items) - 1, -1, -1):
+        v, n = items[i]
+        if v <= k:
+            break
+        c += n
+        below = max(items[i - 1][0], k) if i else k
+        # levels v, v - 1, ..., below + 1, each listed c times; the c
+        # interleaved slices share one int object per level
+        down = list(range(v, below, -1))
+        start = len(a)
+        a += [0] * (c * len(down))
+        for j in range(c):
+            a[start + j::c] = down
+    # fall to 0: every element is at most k now, smallest first
+    for x, n in items:
+        if x:
+            a += list(range(min(x, k), 0, -1)) * n
     return DecrementTrace(
-        k=k, input=D, m=m, s=s, a=tuple(_expand(runs)),
-        omega=result, degenerate=False,
+        k=k, input=D, m=m, s=D.total - m, a=tuple(a),
+        omega=state.sequence(), degenerate=degenerate,
     )
 
 

@@ -112,7 +112,7 @@ def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     target_sum = D.total
     # a transfer never raises the maximum above max(current maximum, k),
     # and each of the (sum(D) - sum(E))/2 additions raises it by at most 1
-    max_elem = max(E.max_value if len(E) else 0, k) + (target_sum - E.total) // 2
+    max_elem = max(E.max_value, k) + (target_sum - E.total) // 2
     seen = {E}
     queue = deque([E])
     while queue:

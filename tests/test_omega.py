@@ -5,8 +5,8 @@ import pytest
 
 import unit_schedule as ref
 from conftest import graphical_sequences, random_graphical, schedule_states
-from greedymax.errors import InputError
-from greedymax.multiset import make_degree_sequence
+from greedymax.errors import InputError, LimitError
+from greedymax.multiset import MAX_DEGREE_SUM, make_degree_sequence
 from greedymax.omega import b, decrement_sequence, omega
 
 D_EX = make_degree_sequence([1, 2, 2, 4, 4, 5, 6])
@@ -37,6 +37,18 @@ def test_decrement_sequence_rejects_bad_input():
         decrement_sequence(make_degree_sequence([0, 0]), 3)  # trivial
     with pytest.raises(InputError):
         decrement_sequence(make_degree_sequence([3]), 3)  # not graphical
+
+
+def test_decrement_sequence_guard_admits_its_bound():
+    D = make_degree_sequence([2**19] * 4)
+    assert D.total == MAX_DEGREE_SUM
+    t = decrement_sequence(D, 3)
+    # the three copies left sink to 3 together, then fall to 0 one by one
+    expected = [x for x in range(2**19, 3, -1) for _ in range(3)] + [3, 2, 1] * 3
+    assert t.a == tuple(expected)
+    assert t.s == len(t.a)
+    with pytest.raises(LimitError):
+        decrement_sequence(make_degree_sequence([2**19] * 4 + [2]), 3)
 
 
 def test_omega_chain_worked_example():

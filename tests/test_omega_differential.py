@@ -64,7 +64,10 @@ def few_vertex_large_degree(draw, top=2**12):
 
 
 @settings(max_examples=150, deadline=None)
-@given(D=few_vertex_large_degree(), k=st.integers(1, 6))
+@given(
+    D=few_vertex_large_degree(),
+    k=st.one_of(st.integers(1, 6), st.integers(7, 2**12)),
+)
 def test_core_matches_unit_schedule_on_large_degrees(D, k):
     assert D.is_graphical()
     # the reference copies O(max(D)) per intermediate state, so those are
