@@ -11,7 +11,6 @@ can be iterated.
 from __future__ import annotations
 
 import csv
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,7 +84,7 @@ class CoveringBoundReport:
 def schonheim(v: int, kappa: int, lam: int = 1) -> int:
     """Classical replication-count lower bound on the covering number."""
     params = CoveringParams(v, kappa, lam)
-    return math.ceil(v * params.replication / kappa)
+    return -(-(v * params.replication) // kappa)
 
 
 def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
@@ -101,8 +100,9 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     multigraph, hence no covering with z blocks, exists.
 
     Otherwise the test is the decision b(D, k) > z from ``omega.exceeds``,
-    which on the covering scan walks about half of the reduction chain; b
-    itself is computed only if the report's ``b`` is read.  Since
+    which takes the phases of the reduction chain where a balanced group
+    absorbs every step by an integer recurrence, not one block step each;
+    b itself is computed only if the report's ``b`` is read.  Since
     kappa < v, r > lambda and k = r - lambda >= 1."""
     r = params.replication
     d = r * (params.kappa - 1) - params.lam * (params.v - 1)

@@ -262,6 +262,16 @@ def test_covering_command(capsys):
     ]
 
 
+def test_covering_command_at_large_v(capsys):
+    code, out, _ = run(capsys, "covering", "--v", "100000000000", "--kappa", "7")
+    assert code == 0
+    assert out.splitlines() == [
+        "C_1(100000000000,7) >= 238095238100000000000",
+        "  z=238095238100000000000: r=16666666667 d=3 s=0 ell=0 k=16666666666 "
+        "b=100000000000 contradiction=False",
+    ]
+
+
 def test_covering_command_non_graphical_first_report(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "covering", "--v", "91", "--kappa", "19"

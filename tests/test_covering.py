@@ -25,6 +25,12 @@ def test_schonheim_small_closed_case():
     assert schonheim(5, 4, 1) == 3
 
 
+def test_schonheim_is_exact_at_large_v():
+    # v * r = 7 * 238095238100000000000 exactly; float division rounds the
+    # quotient up to 238095238100000014336
+    assert schonheim(10**11, 7) == 238095238100000000000
+
+
 def test_schonheim_rejects_bad_params():
     with pytest.raises(InputError):
         schonheim(5, 5, 1)

@@ -1,5 +1,6 @@
 """The block-based reduction core against the unit-at-a-time schedule, and
-the decision ``exceeds`` against ``b``."""
+the decision ``exceeds`` against ``b`` and against a walk of one
+``_Blocks.reduce`` per chain step."""
 
 import importlib
 
@@ -156,6 +157,81 @@ def test_exceeds_stops_before_the_end_of_the_chain(monkeypatch):
         exceeds_steps += steps
     # on these cells both stops together save more than a third of the steps
     assert exceeds_steps < 0.65 * chain_steps
+
+
+def stepwise_exceeds(D, k, z):
+    """The decision b(D, k) > z with the two stops of ``exceeds``, taking
+    one ``_Blocks.reduce`` per chain step: the reference for its phases."""
+    omega_module._check_graphical(D, k)
+    state = omega_module._Blocks(D)
+    need = len(D) - z
+    p = 0
+    while p < need:
+        left = sum(c for v, c in state.blocks if v >= k)  # #{x >= k}
+        if p + left < need:
+            return True
+        state.reduce(k)
+        p += 1
+    return False
+
+
+def outcome(decide, D, k, z):
+    try:
+        return decide(D, k, z)
+    except InputError:
+        return InputError
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_exceeds_matches_the_stepwise_walk_on_all_small_sequences(k):
+    for D in CORPUS:
+        for z in range(-1, len(D) + 2):
+            assert exceeds(D, k, z) == stepwise_exceeds(D, k, z), (D, k, z)
+
+
+def test_exceeds_matches_the_stepwise_walk_on_every_scan_z_test():
+    for rep in scan_z_tests(5, 12):
+        for z in (rep.z - 1, rep.z, rep.z + 1):
+            assert outcome(exceeds, rep.D, rep.k, z) == outcome(
+                stepwise_exceeds, rep.D, rep.k, z), (rep, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    D=st.one_of(
+        few_vertex_large_degree(top=M),
+        st.lists(st.integers(0, M), min_size=1, max_size=5).map(
+            make_degree_sequence),
+    ),
+    k=st.one_of(st.integers(0, 6), st.integers(7, M)),
+    z=st.integers(-1, 6),
+)
+@example(D=make_degree_sequence([M, M, M, 2]), k=1, z=2)
+@example(D=make_degree_sequence([M] * 4), k=M // 2, z=1)
+def test_exceeds_matches_the_stepwise_walk_on_huge_degrees(D, k, z):
+    # the same decision, or the same InputError
+    assert outcome(exceeds, D, k, z) == outcome(stepwise_exceeds, D, k, z)
+
+
+def test_exceeds_walks_balanced_groups_by_phases(monkeypatch):
+    calls = 0
+    reduce = omega_module._Blocks.reduce
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return reduce(self, *args)
+
+    monkeypatch.setattr(omega_module._Blocks, "reduce", counted)
+    # the scan calls exceeds once on each graphical report
+    reports = list(scan_z_tests(14, 20))
+    phase_calls, calls = calls, 0
+    for rep in reports:
+        if rep.D.is_graphical():
+            stepwise_exceeds(rep.D, rep.k, rep.z)
+    assert (len(reports), calls) == (4037, 90301)
+    # the balanced groups take three walked steps in five
+    assert phase_calls < 0.45 * calls
 
 
 def test_exceeds_rejects_what_b_rejects():
