@@ -13,12 +13,10 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
 from .multiset import DegreeSequence
-from .omega import b as omega_b
-from .omega import exceeds
+from .omega import chain_length
 
 
 @dataclass(frozen=True)
@@ -51,14 +49,8 @@ class CoveringBoundReport:
     ell: int
     D: DegreeSequence
     k: int
+    b: int | None  # b(D, k), or None when D is not graphical
     reason: str | None  # why no covering with z blocks exists, or None
-
-    @cached_property
-    def b(self) -> int | None:
-        """b(D, k), computed when first read, or None when D is not
-        graphical.  The test itself only needs the decision b > z; the
-        whole chain is walked only for a report whose b is read."""
-        return omega_b(self.D, self.k).b if self.D.is_graphical() else None
 
     @property
     def contradiction(self) -> bool:
@@ -99,11 +91,9 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     twice the maximum", every profile fails, and no loopless excess
     multigraph, hence no covering with z blocks, exists.
 
-    Otherwise the test is the decision b(D, k) > z from ``omega.exceeds``,
-    which takes the phases of the reduction chain where a balanced group
-    absorbs every step by an integer recurrence, not one block step each;
-    b itself is computed only if the report's ``b`` is read.  Since
-    kappa < v, r > lambda and k = r - lambda >= 1."""
+    Otherwise b(D, k) = n - p, with the chain length p from
+    ``omega.chain_length``, which builds no term of the chain, and the test
+    is b > z.  Since kappa < v, r > lambda and k = r - lambda >= 1."""
     r = params.replication
     d = r * (params.kappa - 1) - params.lam * (params.v - 1)
     if params.kappa * z < r * params.v:
@@ -120,14 +110,14 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     counts[low] = counts.get(low, 0) + params.v - ell
     D = DegreeSequence.from_counts(counts)
     k = r - params.lam
-    if not D.is_graphical():
-        reason = "excess degree sequence is not graphical"
-    elif exceeds(D, k, z):
-        reason = "b > z"
+    if D.is_graphical():
+        b = len(D) - chain_length(D, k)
+        reason = "b > z" if b > z else None
     else:
-        reason = None
+        b, reason = None, "excess degree sequence is not graphical"
     return CoveringBoundReport(
-        params=params, z=z, r=r, d=d, s=s, ell=ell, D=D, k=k, reason=reason
+        params=params, z=z, r=r, d=d, s=s, ell=ell, D=D, k=k, b=b,
+        reason=reason,
     )
 
 

@@ -15,10 +15,11 @@ joins it.  Then every element is at most k, and each falls to 0 in turn,
 smallest first.  ``decrement_sequence`` writes the schedule this way in
 O(d + s) for d distinct values.
 
-``b`` builds every term of the chain, one ``_Blocks.reduce`` a step.  The
-decision b > z of ``exceeds`` needs only the chain length, so it walks the
-phases where a balanced top group above k absorbs every step as an integer
-recurrence in the group's size and sum, and takes a block step elsewhere.
+``b`` builds every term of the chain, one ``_Blocks.reduce`` a step.
+``chain_length`` returns only the number of steps p, so b = n - p, and
+builds no term: where a balanced top group above k absorbs the steps it
+takes them as an integer recurrence in the group's size and sum, and once
+the maximum is k the steps left follow in closed form.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class _Blocks:
 
     def reduce(self, k: int) -> bool:
         """One application of the operator, in place; the one step that
-        ``omega``, ``decrement_sequence``, ``b`` and ``exceeds`` share.
+        ``omega``, ``decrement_sequence``, ``b`` and ``chain_length`` share.
 
         Raises InputError unless the state is graphical (even sum, at least
         twice the maximum), drops one copy of the maximum m and applies the
@@ -129,9 +130,9 @@ class _Blocks:
                 self.zeros += c
         return False
 
-    def sink_group(self, k: int, most: int) -> int:
-        """Up to ``most`` steps of the chain while a balanced top group
-        absorbs them, in place; returns the number of steps taken.
+    def sink_group(self, k: int) -> int:
+        """The steps of the chain that a balanced top group absorbs, in
+        place; returns the number of steps taken.
 
         The group is the top run v, with the run v - 1 if there is one, all
         above k: c elements with sum T, over the floor f = max(k, next
@@ -142,8 +143,7 @@ class _Blocks:
         graphical and not degenerate; the total of a chain from a graphical
         sequence stays even.  So ``reduce`` would take the same steps
         without raising.  Each step is O(1) on (T, c), and the runs are
-        rebuilt once at the end.  Elements >= k stay so, except the one
-        dropped a step."""
+        rebuilt once at the end."""
         blocks = self.blocks
         v, c = blocks[-1]
         if v <= k:
@@ -156,14 +156,14 @@ class _Blocks:
             i -= 1
         below = blocks[i][0] if i >= 0 else 0
         f = max(below, k)
-        start, steps = T, 0
-        while steps < most:
+        start, size = T, c
+        while True:
             m = -(-T // c)
             if T - 2 * m < (c - 1) * f:
                 break
             T -= 2 * m
             c -= 1
-            steps += 1
+        steps = size - c
         if steps:
             while len(blocks) > i + 1:
                 blocks.pop()
@@ -305,41 +305,40 @@ def b(D: DegreeSequence, k: int) -> BTrace:
     return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p)
 
 
-def exceeds(D: DegreeSequence, k: int, z: int) -> bool:
-    """Whether b(D, k) > z, decided without building the chain.
+def chain_length(D: DegreeSequence, k: int) -> int:
+    """The number of steps p of the reduction chain of D, so that
+    b(D, k) = n - p, without building any term.
 
-    With p the number of steps of the reduction chain of D, b = n - p, so
-    the answer is p < n - z.  The walk carries the block state of ``b``
-    and stops at the first of two points:
+    While the maximum is above k, ``sink_group`` takes the steps a
+    balanced top group absorbs, O(1) each, and every other step is one
+    ``_Blocks.reduce``, so InputError is raised where ``b`` raises it.
 
-    - p >= n - z: the answer is False.
-    - p + #{x >= k} < n - z: the answer is True.  A step only runs while
-      the maximum is at least k, and it drops that maximum, so each step
-      removes an element >= k.  No value ever rises, so an element below k
-      never reaches k again.  At most #{x >= k} steps therefore remain.
-
-    A trivial term has no element >= k, so the walk stops by the end of
-    the chain at the latest.  Where a balanced top group above k absorbs
-    the steps, ``sink_group`` takes them in O(1) each; p + #{x >= k} does
-    not change inside such a phase, so the second stop is checked when it
-    starts.  Every other step is one ``_Blocks.reduce``, so InputError is
-    raised where ``b`` raises it.  On the covering scan, κ 14..20,
-    ``reduce`` takes about two walked steps in five."""
+    Once the maximum is k, with c copies and total T, exactly
+    N = min(c, T // 2k) steps remain.  A step drops one k and takes k units
+    off the smallest positive elements, so it removes 2k from the total.
+    The units eat the S = T - c*k units below the copies first, so after
+    i steps c - i - max(0, i - S // k) copies are untouched.  Since
+    T < (c + S // k + 1) * k, 2N <= c + S // k, so before each of the
+    first N - 1 steps at least two copies are untouched and the total is
+    at least 4k: the step is not degenerate and the maximum stays k.  The
+    N-th step still finds a copy and a total of at least 2k.  After it no
+    copy is left (N = c), or the total before it was below 4k (N = T // 2k)
+    and the step was degenerate.  No step of the tail raises: every term
+    has an even total, and one with maximum k has at least 2k, since the
+    input is graphical, a ``reduce`` that is not degenerate leaves at
+    least 2k and a group step leaves at least 2k in the group.  The walk
+    costs one ``reduce`` a step above k outside the group phases, O(1) a
+    step inside them and O(1) for the tail, whatever the size of the
+    degrees."""
     _check_graphical(D, k)
     state = _Blocks(D)
-    need = len(D) - z
     p = 0
-    while p < need:
-        left = 0  # #{x >= k}, counted from the top
-        for v, c in reversed(state.blocks):
-            if v < k:
-                break
-            left += c
-        if p + left < need:
-            return True
-        steps = state.sink_group(k, need - p)
+    while state.top > k:
+        steps = state.sink_group(k)
         if not steps:
             state.reduce(k)
             steps = 1
         p += steps
-    return False
+    if state.top == k:
+        p += min(state.blocks[-1][1], state.total // (2 * k))
+    return p

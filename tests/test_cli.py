@@ -272,6 +272,20 @@ def test_covering_command_at_large_v(capsys):
     ]
 
 
+def test_covering_command_prints_b_at_large_v(capsys):
+    # the printed b needs no chain term, so a chain of 503,972 steps is
+    # one walk over a few blocks, in bounded memory
+    code, out, _ = run(
+        capsys, "covering", "--v", "1000000", "--kappa", "5",
+        "--start", "62600000000",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "  z=62600000000: r=250000 d=1 s=63000 ell=0 k=249999 b=496028 "
+        "contradiction=False"
+    )
+
+
 def test_covering_command_non_graphical_first_report(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "covering", "--v", "91", "--kappa", "19"

@@ -11,6 +11,7 @@ from greedymax.covering import (
 )
 from greedymax.errors import InputError
 from greedymax.multiset import make_degree_sequence
+from greedymax.omega import b as omega_b
 
 
 def test_schonheim_worked_example():
@@ -155,6 +156,13 @@ def test_apply_bound_fills_b():
     rep = apply_bound(CoveringParams(50, 14, 1), 16)
     assert rep.b == 17
     assert rep.to_json()["contradiction"] is True
+
+
+def test_apply_bound_b_matches_the_chain_at_large_v():
+    # b comes from the chain length alone: the report builds none of the
+    # terms of this 50,400-step chain, which omega's b builds
+    rep = apply_bound(CoveringParams(10**5, 5, 1), 626000000)
+    assert rep.b == omega_b(rep.D, rep.k).b == 49600
 
 
 @pytest.mark.parametrize(

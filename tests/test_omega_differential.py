@@ -1,6 +1,8 @@
 """The block-based reduction core against the unit-at-a-time schedule, and
-the decision ``exceeds`` against ``b`` and against a walk of one
-``_Blocks.reduce`` per chain step."""
+``chain_length`` against ``b``, whose chain takes one ``_Blocks.reduce`` per
+step.  The tests named for ``exceeds`` check what the covering test
+decides, whether b(D, k) = n - ``chain_length(D, k)`` exceeds z: at each z
+near b, or through the chain length itself, which fixes it at every z."""
 
 import importlib
 
@@ -18,12 +20,13 @@ from greedymax.covering import (
 )
 from greedymax.errors import InputError
 from greedymax.multiset import DegreeSequence, make_degree_sequence
-from greedymax.omega import b, decrement_sequence, exceeds, omega
+from greedymax.omega import b, chain_length, decrement_sequence, omega
 
 # the package re-exports the function ``omega`` under the submodule's name
 omega_module = importlib.import_module("greedymax.omega")
 
 CORPUS = graphical_sequences(7, 22)
+CORPUS_8 = graphical_sequences(8, 24)
 M = 2**31 - 2
 
 
@@ -93,8 +96,9 @@ def test_chain_cost_does_not_grow_with_degree_size(k):
 
 def assert_exceeds_matches_b(D, k):
     bound = b(D, k).b
+    p = chain_length(D, k)
     for z in range(bound - 3, bound + 3):
-        assert exceeds(D, k, z) == (bound > z), (D, k, z)
+        assert (len(D) - p > z) == (bound > z), (D, k, z)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -127,73 +131,37 @@ def test_exceeds_matches_b_on_every_scan_z_test():
             assert rep.contradiction and rep.b is None, rep
             continue
         bound = b(rep.D, rep.k).b
-        assert exceeds(rep.D, rep.k, rep.z) == (bound > rep.z), rep
-        # the report stores the decision and computes b when it is read
-        assert rep.contradiction == (bound > rep.z) and rep.b == bound
-        assert rep.reason == ("b > z" if bound > rep.z else None)
+        assert rep.b == bound, rep
+        assert rep.reason == ("b > z" if bound > rep.z else None), rep
         checks += 1
     # the z-tests of the kappa 5..12 scan on graphical excess profiles
     assert checks == 596
 
 
-def test_exceeds_stops_before_the_end_of_the_chain(monkeypatch):
-    steps = 0
-    reduce = omega_module._Blocks.reduce
-
-    def counted(self, *args):
-        nonlocal steps
-        steps += 1
-        return reduce(self, *args)
-
-    chain_steps = exceeds_steps = 0
-    for rep in scan_z_tests(14, 14):
-        p = b(rep.D, rep.k).p
-        with monkeypatch.context() as patched:
-            patched.setattr(omega_module._Blocks, "reduce", counted)
-            steps = 0
-            exceeds(rep.D, rep.k, rep.z)
-        assert steps <= p
-        chain_steps += p
-        exceeds_steps += steps
-    # on these cells both stops together save more than a third of the steps
-    assert exceeds_steps < 0.65 * chain_steps
-
-
-def stepwise_exceeds(D, k, z):
-    """The decision b(D, k) > z with the two stops of ``exceeds``, taking
-    one ``_Blocks.reduce`` per chain step: the reference for its phases."""
-    omega_module._check_graphical(D, k)
-    state = omega_module._Blocks(D)
-    need = len(D) - z
-    p = 0
-    while p < need:
-        left = sum(c for v, c in state.blocks if v >= k)  # #{x >= k}
-        if p + left < need:
-            return True
-        state.reduce(k)
-        p += 1
-    return False
-
-
-def outcome(decide, D, k, z):
+def outcome(length, D, k):
     try:
-        return decide(D, k, z)
+        return length(D, k)
     except InputError:
         return InputError
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def stepwise_length(D, k):
+    """The chain length of ``b``, one ``_Blocks.reduce`` per step."""
+    return b(D, k).p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_exceeds_matches_the_stepwise_walk_on_all_small_sequences(k):
-    for D in CORPUS:
-        for z in range(-1, len(D) + 2):
-            assert exceeds(D, k, z) == stepwise_exceeds(D, k, z), (D, k, z)
+    # every graphical sequence of order <= 8 and sum <= 24: over k 1..6,
+    # 37,932 cases, 15,505 of them ending in the tail min(c, T // 2k)
+    for D in CORPUS_8:
+        assert chain_length(D, k) == stepwise_length(D, k), (D, k)
 
 
 def test_exceeds_matches_the_stepwise_walk_on_every_scan_z_test():
     for rep in scan_z_tests(5, 12):
-        for z in (rep.z - 1, rep.z, rep.z + 1):
-            assert outcome(exceeds, rep.D, rep.k, z) == outcome(
-                stepwise_exceeds, rep.D, rep.k, z), (rep, z)
+        assert outcome(chain_length, rep.D, rep.k) == outcome(
+            stepwise_length, rep.D, rep.k), rep
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,13 +172,12 @@ def test_exceeds_matches_the_stepwise_walk_on_every_scan_z_test():
             make_degree_sequence),
     ),
     k=st.one_of(st.integers(0, 6), st.integers(7, M)),
-    z=st.integers(-1, 6),
 )
-@example(D=make_degree_sequence([M, M, M, 2]), k=1, z=2)
-@example(D=make_degree_sequence([M] * 4), k=M // 2, z=1)
-def test_exceeds_matches_the_stepwise_walk_on_huge_degrees(D, k, z):
-    # the same decision, or the same InputError
-    assert outcome(exceeds, D, k, z) == outcome(stepwise_exceeds, D, k, z)
+@example(D=make_degree_sequence([M, M, M, 2]), k=1)
+@example(D=make_degree_sequence([M] * 4), k=M // 2)
+def test_exceeds_matches_the_stepwise_walk_on_huge_degrees(D, k):
+    # the same chain length, or the same InputError
+    assert outcome(chain_length, D, k) == outcome(stepwise_length, D, k)
 
 
 def test_exceeds_walks_balanced_groups_by_phases(monkeypatch):
@@ -223,22 +190,20 @@ def test_exceeds_walks_balanced_groups_by_phases(monkeypatch):
         return reduce(self, *args)
 
     monkeypatch.setattr(omega_module._Blocks, "reduce", counted)
-    # the scan calls exceeds once on each graphical report
+    # the scan calls chain_length once on each graphical report
     reports = list(scan_z_tests(14, 20))
-    phase_calls, calls = calls, 0
-    for rep in reports:
-        if rep.D.is_graphical():
-            stepwise_exceeds(rep.D, rep.k, rep.z)
-    assert (len(reports), calls) == (4037, 90301)
-    # the balanced groups take three walked steps in five
-    assert phase_calls < 0.45 * calls
+    monkeypatch.undo()
+    graphical = [rep for rep in reports if rep.D.is_graphical()]
+    chain_steps = sum(stepwise_length(rep.D, rep.k) for rep in graphical)
+    assert (len(reports), len(graphical), chain_steps) == (4037, 4035, 172479)
+    # the group phases and the tail take all but a few steps in a hundred
+    assert calls < 0.05 * chain_steps
 
 
 def test_exceeds_rejects_what_b_rejects():
     with pytest.raises(InputError):
-        exceeds(make_degree_sequence([5]), 3, 0)  # not graphical
+        chain_length(make_degree_sequence([5]), 3)  # not graphical
     with pytest.raises(InputError):
-        exceeds(make_degree_sequence([1, 1]), 0, 0)  # k < 1
-    # b(D, k) lies in 0..n, so z < 0 and z >= n decide at once
-    assert exceeds(DegreeSequence(()), 1, -1)
-    assert not exceeds(make_degree_sequence([3, 3, 2]), 1, 3)
+        chain_length(make_degree_sequence([1, 1]), 0)  # k < 1
+    assert chain_length(DegreeSequence(()), 1) == 0
+    assert chain_length(make_degree_sequence([3, 3, 2]), 1) == 2
