@@ -141,11 +141,11 @@ def test_b_is_the_minimum_over_every_loopless_realization():
     the worst run of MAX on the worst loopless multigraph with degree
     sequence D leaves exactly b(D, k) vertices.
 
-    573 sequences (order <= 6, sum <= 16) and 7,044 loopless realizations,
-    about 3 s.  The frontier: enumerate_loop_realizations refuses order 7,
-    and sum <= 18 already takes about 8.5 s (856 sequences, 15,900
-    realizations)."""
-    for D in graphical_sequences(6, 16):
+    856 sequences (order <= 6, sum <= 18) and 15,900 loopless
+    realizations, about 4 s.  The frontier: enumerate_loop_realizations
+    refuses order 7, and sum <= 20 takes about 9 s (1,246 sequences,
+    33,835 realizations)."""
+    for D in graphical_sequences(6, 18):
         loopless = [
             G for G in enumerate_loop_realizations(D)
             if all(u != v for (u, v), _ in G.edges)

@@ -1,5 +1,10 @@
-import pytest
+from itertools import combinations_with_replacement
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_reference as ref
 from greedymax.errors import InputError, LimitError
 from greedymax.graphs import Multigraph
 from greedymax.loops import (
@@ -84,8 +89,54 @@ def test_enumerate_degrees_match():
 
 
 def test_enumerate_guard():
-    with pytest.raises(LimitError):
+    with pytest.raises(LimitError, match=r"order 7 and sum 7 exceeds"):
         list(enumerate_loop_realizations(make_degree_sequence([1] * 7)))
+    with pytest.raises(LimitError, match=r"order 6 and sum 28 exceeds"):
+        list(enumerate_loop_realizations(make_degree_sequence([5, 5, 5, 5, 4, 4])))
+
+
+# every D of order 0..5 with degrees 0..5 and sum <= 16 (odd sums too,
+# which have no realization), and three of order 6
+SMALL_SEQUENCES = [
+    make_degree_sequence(list(vals))
+    for n in range(6)
+    for vals in combinations_with_replacement(range(6), n)
+    if sum(vals) <= 16
+] + [
+    make_degree_sequence(vals)
+    for vals in ([2] * 6, [1, 1, 2, 2, 3, 3], [1, 1, 2, 2, 5, 5])
+]
+
+
+def test_oracles_match_the_reference_on_every_small_sequence():
+    """The same graphs in the same order as the pair-by-pair recursion, and
+    the same k-independence numbers as the set search, k = 1..5."""
+    for D in SMALL_SEQUENCES:
+        realizations = list(enumerate_loop_realizations(D))
+        assert realizations == list(ref.enumerate_loop_realizations(D)), D
+        for G in realizations:
+            for k in range(1, 6):
+                assert alpha_k_bruteforce(G, k) == ref.alpha_k_bruteforce(G, k), (G, k)
+
+
+@st.composite
+def loop_multigraphs(draw):
+    """Order 0..10; edges only among the first ``live`` vertices, so the rest
+    are isolated, and loops of weight 2, 4 or 6 on either side of k."""
+    n = draw(st.integers(0, 10))
+    live = draw(st.integers(0, n))
+    edges = []
+    if live:
+        vertex = st.integers(0, live - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * live)):
+            edges.append((u, v, draw(st.integers(1, 3))))
+    return Multigraph.from_edges(n, edges, loops=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_multigraphs(), st.integers(1, 5))
+def test_bruteforce_matches_the_set_search_on_random_graphs(G, k):
+    assert alpha_k_bruteforce(G, k) == ref.alpha_k_bruteforce(G, k)
 
 
 def test_construct_single_even_vertex():
