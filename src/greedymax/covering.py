@@ -111,7 +111,7 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     D = DegreeSequence.from_counts(counts)
     k = r - params.lam
     if D.is_graphical():
-        b = len(D) - chain_length(D, k)
+        b = params.v - chain_length(D, k)
         reason = "b > z" if b > z else None
     else:
         b, reason = None, "excess degree sequence is not graphical"

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, check_k
 from .multiset import MAX_DEGREE_SUM, DegreeSequence, check_degree_sum
 from .omega import b
 
@@ -219,8 +219,7 @@ def max_run(
     vertices sit in a degree index, so after O(n + |E|) set-up a deletion
     costs O(log n) per edge of the deleted vertex plus the length of the
     candidate list, instead of a scan over all n vertices."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if chooser is None:
         chooser = lowest_index_chooser
     adj = G.adjacency()
@@ -255,8 +254,7 @@ def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
 
     Depth-first search over choice trees, memoized on the surviving vertex
     set (which determines the residual subgraph exactly)."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if G.n > WORST_CASE_MAX_ORDER:
         raise LimitError(f"graph order {G.n} exceeds guard {WORST_CASE_MAX_ORDER}")
     adj = G.adjacency()
@@ -291,8 +289,11 @@ def construct_worst_case(
     survivor count is exactly the omega-chain bound.
 
     Takes the reduction chain D = D_0, D_1, ..., D_j of ``b`` down to the
-    last term whose reduction is trivial and realizes D_j directly (one
-    deletion of vertex 0 finishes its run).  It then rebuilds D_{j-1}, ...,
+    last term whose reduction is trivial and realizes D_j directly.  That
+    reduction is degenerate, so deleting a vertex of degree max(D_j) leaves
+    fewer than k edges or every other degree below k: in any realization
+    with vertex 0 of maximum degree, as ``realize``'s, one deletion of
+    vertex 0 finishes the run.  It then rebuilds D_{j-1}, ...,
     D_0, each level adding a vertex u of degree m = max(D_i), so that the
     script deletes n-1, ..., n-j and then 0.  Below the top rank, sorted D_i
     is A_0, D_i less one copy of m, and D_{i+1} is A_0 after m unit

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, check_k
 from .graphs import Multigraph
 from .multiset import DegreeSequence
 
@@ -38,8 +38,7 @@ def alpha_k_min_loops(D: DegreeSequence, k: int) -> int:
     Zero-degree elements simply add 1 each; on the positive part the value
     is the count of elements below k when k is even, and for odd k the
     larger of that count and half the count of elements at most k."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if D.total % 2 != 0:
         raise InputError("sum of degrees must be even")
     zcount, small, at_k = _split(D, k)
@@ -54,8 +53,7 @@ def alpha_k_bruteforce(G: Multigraph, k: int) -> int:
     A vertex whose loops alone give it degree >= k has that degree in every
     induced subgraph containing it, so it is in no k-independent set;
     dropping such vertices first leaves the maximum unchanged."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if G.n > BRUTEFORCE_MAX_ORDER:
         raise LimitError(f"order {G.n} exceeds guard {BRUTEFORCE_MAX_ORDER}")
     # rows[v][u] is the degree v takes from u, as in Multigraph.adjacency
@@ -136,8 +134,7 @@ def construct_extremal_loop_multigraph(
     remaining degree into loops.  Odd k: a first matching pins elements at
     k against smaller elements (or each other), a second matching fixes
     parities, and the rest is loops."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if len(D) == 0:
         raise InputError("degree sequence is empty")
     if any(v == 0 for v in D.values()):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, check_k
 
 MAX_DEGREE = 2**31 - 1
 
@@ -158,8 +158,7 @@ class DegreeSequence:
 
     def is_trivial(self, k: int) -> bool:
         """True iff the maximum element is below k (empty counts as trivial)."""
-        if k < 1:
-            raise InputError("k must be a positive integer")
+        check_k(k)
         if not self.items:
             return True
         return self.max_value < k
@@ -222,8 +221,7 @@ def render_ferrers(D: DegreeSequence, k: int) -> str:
     """Monospace Ferrers diagram, rows nonincreasing, rule after column k.
 
     Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     check_degree_sum(D)
     lines = []
     for v in sorted(D.values(), reverse=True):

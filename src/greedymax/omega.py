@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_k
 from .multiset import DegreeSequence, check_degree_sum
 
 
@@ -41,16 +41,23 @@ class _Blocks:
     level per c decrements, and at or below k the smallest positive element
     falls straight to 0.  ``reduce`` therefore applies its m decrements in
     closed form, one block at a time, and its cost does not depend on m or
-    on the size of the values."""
+    on the size of the values.  The constructor is the core's one input
+    check, k >= 1 and D graphical; no later term needs it, as each is the
+    degree sequence of what the witness of ``graphs.construct_worst_case``
+    has left after its scripted deletions."""
 
-    __slots__ = ("blocks", "zeros", "order", "total")
+    __slots__ = ("blocks", "zeros", "order", "total", "k")
 
-    def __init__(self, D: DegreeSequence):
+    def __init__(self, D: DegreeSequence, k: int):
+        check_k(k)
+        if not D.is_graphical():
+            raise InputError("input is not graphical")
         items = D.items
         self.zeros = items[0][1] if items and items[0][0] == 0 else 0
         self.blocks = deque(items[1:] if self.zeros else items)
-        self.order = len(D)
+        self.order = D.order
         self.total = D.total
+        self.k = k
 
     @property
     def top(self) -> int:
@@ -61,20 +68,18 @@ class _Blocks:
         items = tuple(self.blocks)
         return DegreeSequence(((0, self.zeros),) + items if self.zeros else items)
 
-    def reduce(self, k: int) -> bool:
+    def reduce(self) -> bool:
         """One application of the operator, in place; the one step that
         ``omega``, ``decrement_sequence``, ``b`` and ``chain_length`` share.
 
-        Raises InputError unless the state is graphical (even sum, at least
-        twice the maximum), drops one copy of the maximum m and applies the
-        first m scheduled decrements.  When what is left sums to less than
-        m + 2k or has its maximum below k, the reduction is forced to all
-        zeros instead, and True is returned for that degenerate branch."""
+        Drops one copy of the maximum m and applies the first m scheduled
+        decrements.  When what is left sums to less than m + 2k or has its
+        maximum below k, the reduction is forced to all zeros instead, and
+        True is returned for that degenerate branch."""
         blocks = self.blocks
+        k = self.k
         total = self.total
         m, c = blocks[-1] if blocks else (0, 0)
-        if total % 2 or total < 2 * m:
-            raise InputError("input is not graphical")
         self.order -= 1
         if c > 1:
             blocks[-1] = (m, c - 1)
@@ -130,7 +135,7 @@ class _Blocks:
                 self.zeros += c
         return False
 
-    def sink_group(self, k: int) -> int:
+    def sink_group(self) -> int:
         """The steps of the chain that a balanced top group absorbs, in
         place; returns the number of steps taken.
 
@@ -139,12 +144,11 @@ class _Blocks:
         value below).  A step drops the maximum m = ceil(T/c) and takes m
         more from the group, which stays balanced, while T - 2m >= (c - 1)f.
         No step passes with c <= 2, where T <= 2m, and once c >= 3 the
-        total stays at least 2m + (c - 1)f >= 2m + 2k, so the step is
-        graphical and not degenerate; the total of a chain from a graphical
-        sequence stays even.  So ``reduce`` would take the same steps
-        without raising.  Each step is O(1) on (T, c), and the runs are
-        rebuilt once at the end."""
+        total stays at least 2m + (c - 1)f >= 2m + 2k, so the step is not
+        degenerate, and ``reduce`` would take the same steps.  Each step is
+        O(1) on (T, c), and the runs are rebuilt once at the end."""
         blocks = self.blocks
+        k = self.k
         v, c = blocks[-1]
         if v <= k:
             return 0
@@ -227,24 +231,12 @@ class BTrace:
         }
 
 
-def _check_graphical(D: DegreeSequence, k: int) -> None:
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    if not D.is_graphical():
-        raise InputError("input is not graphical")
-
-
-def _check_reducible(D: DegreeSequence, k: int) -> None:
-    _check_graphical(D, k)
-    if not D.items:
-        raise InputError("cannot reduce the empty sequence")
-
-
 def omega(D: DegreeSequence, k: int) -> DegreeSequence:
     """One application of the reduction operator (order drops by one)."""
-    _check_reducible(D, k)
-    state = _Blocks(D)
-    state.reduce(k)
+    state = _Blocks(D, k)
+    if not D.items:
+        raise InputError("cannot reduce the empty sequence")
+    state.reduce()
     return state.sequence()
 
 
@@ -254,13 +246,14 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     The schedule is written from A_0 in its two phases, in O(d + s).  In
     the degenerate branch (reduction forced to all zeros) it is unused and
     returned empty.  Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
-    _check_reducible(D, k)
-    if D.is_trivial(k):
+    state = _Blocks(D, k)
+    if not D.items:
+        raise InputError("cannot reduce the empty sequence")
+    if state.top < k:
         raise InputError("input is trivial")
     check_degree_sum(D)
     m = D.max_value
-    state = _Blocks(D)
-    degenerate = state.reduce(k)
+    degenerate = state.reduce()
     a: list[int] = []
     items = () if degenerate else D.without_one(m).items  # A_0's runs
     # sink to k; c counts the elements above k, all at the current level
@@ -295,14 +288,13 @@ def b(D: DegreeSequence, k: int) -> BTrace:
     O(d) for a term with d distinct values (the blocks the schedule touches,
     plus the copy kept in the chain), so a chain of p <= n steps costs
     O(p * d), whatever the size of the degrees."""
-    _check_graphical(D, k)
-    state = _Blocks(D)  # one block state carried along the whole chain
+    state = _Blocks(D, k)  # one block state carried along the whole chain
     chain = [D]
     while state.top >= k:
-        state.reduce(k)
+        state.reduce()
         chain.append(state.sequence())
     p = len(chain) - 1
-    return BTrace(k=k, chain=tuple(chain), p=p, b=len(D) - p)
+    return BTrace(k=k, chain=tuple(chain), p=p, b=D.order - p)
 
 
 def chain_length(D: DegreeSequence, k: int) -> int:
@@ -311,7 +303,7 @@ def chain_length(D: DegreeSequence, k: int) -> int:
 
     While the maximum is above k, ``sink_group`` takes the steps a
     balanced top group absorbs, O(1) each, and every other step is one
-    ``_Blocks.reduce``, so InputError is raised where ``b`` raises it.
+    ``_Blocks.reduce``.
 
     Once the maximum is k, with c copies and total T, exactly
     N = min(c, T // 2k) steps remain.  A step drops one k and takes k units
@@ -323,20 +315,15 @@ def chain_length(D: DegreeSequence, k: int) -> int:
     at least 4k: the step is not degenerate and the maximum stays k.  The
     N-th step still finds a copy and a total of at least 2k.  After it no
     copy is left (N = c), or the total before it was below 4k (N = T // 2k)
-    and the step was degenerate.  No step of the tail raises: every term
-    has an even total, and one with maximum k has at least 2k, since the
-    input is graphical, a ``reduce`` that is not degenerate leaves at
-    least 2k and a group step leaves at least 2k in the group.  The walk
-    costs one ``reduce`` a step above k outside the group phases, O(1) a
-    step inside them and O(1) for the tail, whatever the size of the
-    degrees."""
-    _check_graphical(D, k)
-    state = _Blocks(D)
+    and the step was degenerate.  The walk costs one ``reduce`` a step
+    above k outside the group phases, O(1) a step inside them and O(1) for
+    the tail, whatever the size of the degrees."""
+    state = _Blocks(D, k)
     p = 0
     while state.top > k:
-        steps = state.sink_group(k)
+        steps = state.sink_group()
         if not steps:
-            state.reduce(k)
+            state.reduce()
             steps = 1
         p += steps
     if state.top == k:

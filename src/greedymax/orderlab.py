@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, check_k
 from .multiset import DegreeSequence, from_sigma
 from .omega import omega
 
@@ -54,8 +54,7 @@ def addition_step(E: DegreeSequence, x: int, y: int) -> DegreeSequence:
 def transfer_step(E: DegreeSequence, x: int, y: int, k: int) -> DegreeSequence:
     """(x,y)-transfer: an x-decrement then a (y-1)-increment, requiring
     x > max(k,y) or x < y <= k."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if x < 1 or y < 1:
         raise InputError("step parameters must be positive")
     if not _transfer_allowed(x, y, k):
@@ -95,8 +94,7 @@ def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     """Decide reachability of D from E by elementary steps (BFS oracle).
 
     Exponential in general; refuses instances beyond the declared guards."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if len(D) != len(E):
         raise InputError("orders differ")
     if len(D) > PRECEDES_MAX_ORDER or D.total > PRECEDES_MAX_SUM:
@@ -136,8 +134,7 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
     Every true reduction of E appears here, so the list is a sound superset
     for testing reduction claims.  The enumeration is exponential, so it
     refuses sum(E) above PRECEDES_MAX_SUM."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    check_k(k)
     if not E.is_graphical():
         raise InputError("input is not graphical")
     if E.is_trivial(k):

@@ -286,6 +286,17 @@ def test_covering_command_prints_b_at_large_v(capsys):
     )
 
 
+def test_covering_command_past_the_index_size(capsys):
+    # v = 2^63 is one more than len() of the excess sequence can return
+    code, out, err = run(
+        capsys, "--format", "json", "covering", "--v", str(2**63),
+        "--kappa", "7",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["bound"] >= payload["start"]
+
+
 def test_covering_command_non_graphical_first_report(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "covering", "--v", "91", "--kappa", "19"

@@ -165,6 +165,13 @@ def test_apply_bound_b_matches_the_chain_at_large_v():
     assert rep.b == omega_b(rep.D, rep.k).b == 49600
 
 
+def test_apply_bound_past_the_index_size():
+    # the excess sequence has order v = 2^63, more than len() can return
+    v = 2**63
+    rep = apply_bound(CoveringParams(v, 7, 1), schonheim(v, 7))
+    assert isinstance(rep.b, int) and rep.b <= v
+
+
 @pytest.mark.parametrize(
     "kappa,v,start,final",
     [(19, 91, 24, 28), (19, 271, 214, 219), (11, 41, 15, 18), (11, 81, 59, 62)],

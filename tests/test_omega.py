@@ -7,7 +7,7 @@ import unit_schedule as ref
 from conftest import graphical_sequences, random_graphical, schedule_states
 from greedymax.errors import InputError, LimitError
 from greedymax.multiset import MAX_DEGREE_SUM, make_degree_sequence
-from greedymax.omega import b, decrement_sequence, omega
+from greedymax.omega import b, chain_length, decrement_sequence, omega
 
 D_EX = make_degree_sequence([1, 2, 2, 4, 4, 5, 6])
 
@@ -99,6 +99,44 @@ def test_b_covering_example():
 def test_b_rejects_non_graphical():
     with pytest.raises(InputError):
         b(make_degree_sequence([3]), 3)
+
+
+CORE = {
+    "omega": omega,
+    "b": lambda D, k: b(D, k).b,
+    "chain_length": chain_length,
+    "decrement_sequence": decrement_sequence,
+}
+EMPTY = make_degree_sequence([])
+OVER_GUARD = make_degree_sequence([2**19] * 4 + [2])  # sum 2^21 + 2
+K_ERROR = (InputError, "k must be a positive integer")
+NOT_GRAPHICAL = (InputError, "input is not graphical")
+EMPTY_ERROR = (InputError, "cannot reduce the empty sequence")
+TRIVIAL = (InputError, "input is trivial")
+
+
+@pytest.mark.parametrize(
+    "name,D,k,expected",
+    [(name, EMPTY, 0, K_ERROR) for name in CORE]
+    + [(name, make_degree_sequence([3]), 1, NOT_GRAPHICAL) for name in CORE]
+    + [
+        ("omega", EMPTY, 1, EMPTY_ERROR),
+        ("decrement_sequence", EMPTY, 1, EMPTY_ERROR),
+        ("b", EMPTY, 1, 0),
+        ("chain_length", EMPTY, 1, 0),
+        ("decrement_sequence", make_degree_sequence([0, 0]), 1, TRIVIAL),
+        ("decrement_sequence", OVER_GUARD, 2**20, TRIVIAL),
+        ("decrement_sequence", OVER_GUARD, 3,
+         (LimitError, "degree sum 2097154 exceeds guard 2097152")),
+    ],
+)
+def test_core_errors_come_in_order(name, D, k, expected):
+    # k first, then graphicality, then emptiness, triviality and the sum guard
+    try:
+        result = CORE[name](D, k)
+    except (InputError, LimitError) as exc:
+        result = (type(exc), str(exc))
+    assert result == expected
 
 
 def test_btrace_json_shape():

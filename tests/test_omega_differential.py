@@ -94,6 +94,30 @@ def test_chain_cost_does_not_grow_with_degree_size(k):
     assert trace.chain[-1].is_trivial(k)
 
 
+def assert_chain_stays_graphical(D, k):
+    # the core checks its input only: each later term is what the witness
+    # has left after its scripted deletions, so it is graphical too
+    trace = b(D, k)
+    assert all(term.is_graphical() for term in trace.chain), (D, k)
+    if trace.p:
+        # the last step always takes the degenerate branch
+        last = trace.chain[-1]
+        assert last == DegreeSequence.from_counts({0: len(last)}), (D, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_chain_stays_graphical_on_all_small_sequences(k):
+    for D in CORPUS_8:
+        assert_chain_stays_graphical(D, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(D=few_vertex_large_degree(top=M), k=st.integers(1, 6))
+@example(D=make_degree_sequence([M, M, M, 2]), k=1)
+def test_chain_stays_graphical_on_huge_degrees(D, k):
+    assert_chain_stays_graphical(D, k)
+
+
 def assert_exceeds_matches_b(D, k):
     bound = b(D, k).b
     p = chain_length(D, k)
