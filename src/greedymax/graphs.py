@@ -9,15 +9,17 @@ the remainder has maximum degree below k; the survivors form a maximal
 k-independent set.  max_worst_case exhausts every legal choice sequence,
 and construct_worst_case builds, for any graphical D, a multigraph plus a
 deletion script whose survivor count meets the bound from the omega chain
-exactly.
+exactly.  ``realize`` pairs degree stubs in closed form, so neither it nor
+the witness costs more as the degrees grow.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import InputError, LimitError, check_k
@@ -27,59 +29,6 @@ from .omega import b
 WORST_CASE_MAX_ORDER = 9
 
 Chooser = Callable[[Sequence[int]], int]
-
-
-class _DegreeIndex:
-    """Vertices bucketed by degree, shared by realize and max_run.
-
-    ``deg[v]`` is the current degree of v, ``buckets[d]`` a min-heap of the
-    vertices of degree d (so the lowest index pops first) and ``levels`` a
-    max-heap, stored negated, of the degrees that have a bucket.  Both
-    callers only lower degrees, so an entry that ``push`` leaves behind in
-    the old bucket never becomes valid again; ``members`` drops such
-    entries."""
-
-    __slots__ = ("deg", "buckets", "levels")
-
-    def __init__(self, deg: list[int]):
-        self.deg = deg
-        self.buckets: dict[int, list[int]] = {}
-        for v, d in enumerate(deg):
-            # ascending v: each bucket is built sorted, which is a heap
-            self.buckets.setdefault(d, []).append(v)
-        self.levels = [-d for d in self.buckets]
-        heapq.heapify(self.levels)
-
-    def top(self) -> int:
-        """Highest degree whose bucket is not empty, -1 when there is none;
-        empty buckets found on the way are removed."""
-        levels, buckets = self.levels, self.buckets
-        while levels and not buckets[-levels[0]]:
-            del buckets[-heapq.heappop(levels)]
-        return -levels[0] if levels else -1
-
-    def pop(self, d: int) -> int:
-        """Remove and return the lowest vertex in bucket d."""
-        return heapq.heappop(self.buckets[d])
-
-    def push(self, v: int, d: int) -> None:
-        """Give v degree d and file it in bucket d."""
-        self.deg[v] = d
-        bucket = self.buckets.get(d)
-        if bucket is None:
-            self.buckets[d] = [v]
-            heapq.heappush(self.levels, -d)
-        else:
-            heapq.heappush(bucket, v)
-
-    def members(self, d: int) -> list[int]:
-        """Bucket d itself, cut down to the vertices whose degree is d and
-        sorted ascending."""
-        deg = self.deg
-        live = [v for v in self.buckets[d] if deg[v] == d]
-        live.sort()
-        self.buckets[d] = live
-        return live
 
 
 @dataclass(frozen=True)
@@ -159,29 +108,31 @@ def degree_sequence_of(G: Multigraph) -> DegreeSequence:
 
 
 def realize(D: DegreeSequence) -> Multigraph:
-    """Deterministic multigraph with degree sequence D: repeatedly join the
-    two vertices of largest residual degree (ties to the lowest index).
+    """Deterministic loopless multigraph with degree sequence D, by stub
+    pairing.
 
-    Each unit edge costs two pops and two pushes on the residual-degree
-    index, so the whole realization costs O(n + sum(D) log n)."""
+    The vertices are labelled by nonincreasing degree, and vertex v holds a
+    block of deg(v) consecutive stubs.  Each stub i < h, where h = sum(D)/2,
+    is joined to stub i + h.  On a graphical D no block is longer than h,
+    so no stub meets its own vertex.  One walk over the block ends gives the
+    edges sorted and distinct, at most one per positive degree, so the
+    cost is O(n) whatever the size of the degrees."""
     if not D.is_graphical():
         raise InputError("input is not graphical")
-    # vertices are labelled by decreasing degree, so the positive degrees
-    # come first; zero-degree vertices, and any vertex whose residual
-    # reaches 0, stay out of the index
-    index = _DegreeIndex([d for d, c in reversed(D.items) if d for _ in range(c)])
-    edges: dict[tuple[int, int], int] = {}
-    while (top := index.top()) > 0:
-        u = index.pop(top)
-        second = index.top()
-        v = index.pop(second)
-        key = (u, v) if u < v else (v, u)
-        edges[key] = edges.get(key, 0) + 1
-        if top > 1:
-            index.push(u, top - 1)
-        if second > 1:
-            index.push(v, second - 1)
-    return Multigraph(len(D), tuple(sorted(edges.items())))
+    ends = list(accumulate(d for d, c in reversed(D.items) if d for _ in range(c)))
+    half = D.total // 2
+    # u holds stub i and v holds stub i + half; both only move up
+    edges: list[tuple[tuple[int, int], int]] = []
+    i, u, v = 0, 0, bisect_right(ends, half)
+    while i < half:
+        stop = min(ends[u], ends[v] - half)
+        edges.append(((u, v), stop - i))
+        i = stop
+        if ends[u] == stop:
+            u += 1
+        if ends[v] - half == stop:
+            v += 1
+    return Multigraph(len(D), tuple(edges))
 
 
 def lowest_index_chooser(candidates: Sequence[int]) -> int:
@@ -215,35 +166,46 @@ def max_run(
     """One application of the greedy deletion algorithm.
 
     Returns (surviving vertex list, log of (deleted vertex, degree at
-    deletion)).  Vertices keep their original labels throughout.  The alive
-    vertices sit in a degree index, so after O(n + |E|) set-up a deletion
+    deletion)).  Vertices keep their original labels throughout.  Alive
+    vertices of degree at least k are filed in ``buckets`` by degree, and
+    ``levels`` is a max-heap, stored negated, of the degrees that have a
+    bucket.  A vertex whose degree falls is filed again, and ``deg`` tells
+    which entries are still valid.  After O(n + |E|) set-up a deletion
     costs O(log n) per edge of the deleted vertex plus the length of the
     candidate list, instead of a scan over all n vertices."""
     check_k(k)
     if chooser is None:
         chooser = lowest_index_chooser
     adj = G.adjacency()
-    index = _DegreeIndex(G.degrees())
-    deg = index.deg
+    deg = G.degrees()
+    buckets: dict[int, list[int]] = {}
+    for v, d in enumerate(deg):
+        if d >= k:
+            buckets.setdefault(d, []).append(v)
+    levels = [-d for d in buckets]
+    heapq.heapify(levels)
     log: list[tuple[int, int]] = []
-    while True:
-        delta = index.top()
-        if delta < k:
-            break
-        # no degree rises, so bucket delta only loses vertices from here on
-        bucket = index.members(delta)
+    while levels:
+        delta = -heapq.heappop(levels)
+        # no degree rises, so this round leaves no vertex at delta
+        bucket = sorted(v for v in buckets.pop(delta) if deg[v] == delta)
         while bucket:
             v = chooser(bucket[:])
             bucket.remove(v)
             deg[v] = -1  # deleted: matches no bucket
             for u, m in adj[v].items():
                 d = deg[u]
+                if d < 0:
+                    continue
                 if d == delta:
                     del bucket[bisect_left(bucket, u)]
-                if d - m >= k:
-                    index.push(u, d - m)
-                elif d >= 0:
-                    deg[u] = d - m  # alive, but never a candidate again
+                deg[u] = d = d - m
+                if d >= k:
+                    if d in buckets:
+                        buckets[d].append(u)
+                    else:
+                        buckets[d] = [u]
+                        heapq.heappush(levels, -d)
             log.append((v, delta))
     return [v for v in range(G.n) if deg[v] >= 0], log
 
@@ -263,12 +225,12 @@ def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
     def search(alive: frozenset) -> tuple[int, tuple[int, ...]]:
         if not alive:
             return 0, ()
+        if alive in memo:
+            return memo[alive]
         deg = {v: sum(m for u, m in adj[v].items() if u in alive) for v in alive}
         delta = max(deg.values())
         if delta < k:
             return len(alive), ()
-        if alive in memo:
-            return memo[alive]
         best: tuple[int, tuple[int, ...]] | None = None
         for v in sorted(u for u in alive if deg[u] == delta):
             size, script = search(alive - {v})
@@ -304,10 +266,12 @@ def construct_worst_case(
     (``realize`` labels them by decreasing degree, and each new vertex is
     the top rank), and one merge walk over the runs of the two terms finds
     the ranges of equal rise, so a level costs O(d + vertices raised)
-    whatever the size of the degrees.  Raises LimitError when sum(D)
-    exceeds MAX_DEGREE_SUM, because ``realize`` works per unit of degree."""
+    whatever the size of the degrees.  The witness has at most
+    min(sum(D), n(n - 1))/2 edges, so LimitError is raised only when both
+    exceed MAX_DEGREE_SUM."""
     chain = b(D, k).chain
-    check_degree_sum(D)
+    if D.order * (D.order - 1) > MAX_DEGREE_SUM:
+        check_degree_sum(D)
     j = len(chain) - 2  # chain[j] is the last nontrivial term
     if j < 0:
         return realize(D), []

@@ -19,12 +19,11 @@ from .errors import InputError, LimitError, check_k
 
 MAX_DEGREE = 2**31 - 1
 
-# Largest degree sum accepted by the routines whose output or work grows
-# with it: omega.decrement_sequence (the schedule a has about sum(D)
-# entries), graphs.construct_worst_case (its graphs.realize of the last
-# nontrivial chain term joins one edge unit at a time) and render_ferrers
-# (one cell per unit).  It also bounds the vertex count of a
-# graphs.Multigraph built from edges.
+# Largest degree sum accepted by the routines whose output grows with it:
+# omega.decrement_sequence (about sum(D) schedule entries), render_ferrers
+# (one cell per unit) and graphs.construct_worst_case on n vertices with
+# n(n - 1) above it too (up to sum(D)/2 edges).  It also bounds the vertex
+# count of a graphs.Multigraph built from edges.
 MAX_DEGREE_SUM = 2**21
 
 # one item of a JSON integer array, with the whitespace JSON allows

@@ -1,10 +1,12 @@
-"""Reference implementations of the base realization and of MAX.
+"""Reference implementations of a greedy realization and of MAX.
 
-These are the plain versions: ``realize`` re-sorts every vertex for each
-unit edge, O(sum(D) * n log n), and ``max_run`` rescans every alive vertex
-for the maximum degree and the candidates, O(n) per deletion.  They share
-no code with the degree index in ``greedymax.graphs``, which the
-differential tests compare against them.
+These are the plain versions: ``realize`` joins the two largest residual
+degrees one unit edge at a time, re-sorting every vertex each time,
+O(sum(D) * n log n), and ``max_run`` rescans every alive vertex for the
+maximum degree and the candidates, O(n) per deletion.  ``max_run`` shares
+no code with the degree buckets of ``greedymax.graphs.max_run``, which the
+differential tests compare against it; the greedy realizations are extra
+base graphs for that comparison.
 """
 
 from greedymax.errors import InputError

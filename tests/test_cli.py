@@ -176,15 +176,37 @@ def test_verify_vertex_count_guard_exits_3(capsys, tmp_path):
     assert err == "error: vertex count 100000000000 exceeds guard 2097152\n"
 
 
-def test_trace_and_construct_degree_sum_guard(capsys):
+def test_trace_and_construct_degree_sum_guard(capsys, tmp_path):
     degrees = "2147483646,2147483646,2"
     # the Ferrers diagram has one cell per unit of degree, so it is guarded too
-    for cmd in ("trace", "construct", "ferrers"):
+    for cmd in ("trace", "ferrers"):
         code, out, err = run(capsys, cmd, "--k", "1", "--degrees", degrees)
         assert code == 3 and out == ""
         assert "degree sum 4294967294 exceeds guard 2097152" in err
-    code, _, _ = run(capsys, "bound", "--k", "1", "--degrees", degrees)
+    code, out, _ = run(
+        capsys, "--format", "json", "bound", "--k", "1", "--degrees", degrees
+    )
     assert code == 0
+    bound = json.loads(out)["b"]
+    # the witness has at most n(n - 1)/2 edges, so on few vertices construct
+    # has no sum guard: its script replays to b survivors
+    code, out, err = run(
+        capsys, "--format", "json", "construct", "--k", "1", "--degrees", degrees
+    )
+    assert code == 0 and err == ""
+    witness = tmp_path / "w.json"
+    witness.write_text(out)
+    code, out, err = run(
+        capsys, "--format", "json", "verify", "--k", "1",
+        "--graph", str(witness), "--script", str(witness),
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["size"] == bound == 1
+    # 1449 vertices: n(n - 1) and the degree sum both pass the guard
+    dense = ",".join(["1448"] * 1449)
+    code, out, err = run(capsys, "construct", "--k", "1", "--degrees", dense)
+    assert code == 3 and out == ""
+    assert "degree sum 2098152 exceeds guard 2097152" in err
 
 
 def test_closed_pipe_exits_quietly():

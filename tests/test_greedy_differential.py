@@ -1,5 +1,6 @@
-"""realize and max_run on the degree index against the plain rescanning
-versions in greedy_reference."""
+"""realize checked by the properties of its stub pairing, and max_run
+checked against the plain rescanning version in greedy_reference, on
+realize's graphs, the reference's greedy realizations and rewirings."""
 
 import random
 
@@ -16,7 +17,7 @@ from greedymax.graphs import (
     random_rewiring,
     realize,
 )
-from greedymax.multiset import make_degree_sequence
+from greedymax.multiset import MAX_DEGREE, make_degree_sequence
 
 
 def highest_index_chooser(candidates):
@@ -41,10 +42,21 @@ def assert_runs_match(G, k, rng):
     assert max_run(G, k, make_scripted_chooser(script)) == expected
 
 
+def assert_realizes(D, G):
+    """G is loopless with the degrees of D, nonincreasing by label, and its
+    edges are sorted, distinct and at most one per positive degree."""
+    keys = [key for key, _ in G.edges]
+    assert all(u < v for u, v in keys)
+    assert G.degrees() == sorted(D.values(), reverse=True)
+    assert keys == sorted(set(keys))
+    assert len(keys) <= sum(1 for d in D.values() if d)
+
+
 def assert_matches_reference(D, rng):
     G = realize(D)
-    assert G.edges == ref.realize(D).edges
-    for H in (G, random_rewiring(G, 3 * len(G.edges), rng)):
+    assert_realizes(D, G)
+    greedy = ref.realize(D)
+    for H in (greedy, random_rewiring(greedy, 3 * len(greedy.edges), rng), G):
         for k in (1, 2, 3, 4):
             assert_runs_match(H, k, rng)
 
@@ -60,6 +72,22 @@ def test_random_larger_sequences():
     for _ in range(60):
         D = random_graphical(rng, max_order=40, max_sum=200)
         assert_matches_reference(D, rng)
+
+
+def test_realize_on_huge_degrees():
+    rng = random.Random(11)
+    for _ in range(300):
+        vals = [rng.randint(0, MAX_DEGREE) for _ in range(rng.randint(1, 14))]
+        vals.sort()
+        vals[-1] = min(vals[-1], sum(vals[:-1]))  # the top fits the rest
+        if sum(vals) % 2:
+            vals[-1] -= 1
+        D = make_degree_sequence(vals)
+        assert_realizes(D, realize(D))
+    for vals in ([MAX_DEGREE - 1] * 2, [MAX_DEGREE] * 2 + [1, 1],
+                 [MAX_DEGREE] * 14):
+        D = make_degree_sequence(vals)
+        assert_realizes(D, realize(D))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
