@@ -12,24 +12,22 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 from .multiset import DegreeSequence
 from .omega import chain_length
 
 
-@dataclass(frozen=True)
-class CoveringParams:
-    v: int
-    kappa: int
-    lam: int
+class CoveringParams(namedtuple("CoveringParams", "v kappa lam")):
+    __slots__ = ()  # no instance dict, so no attribute can be added
 
-    def __post_init__(self) -> None:
-        if self.lam < 1:
+    def __new__(cls, v: int, kappa: int, lam: int) -> "CoveringParams":
+        if lam < 1:
             raise InputError("lambda must be positive")
-        if not (3 <= self.kappa < self.v):
+        if not (3 <= kappa < v):
             raise InputError("need 3 <= kappa < v")
+        return super().__new__(cls, v, kappa, lam)
 
     @property
     def replication(self) -> int:
@@ -37,8 +35,7 @@ class CoveringParams:
         return -(-(self.lam * (self.v - 1)) // (self.kappa - 1))
 
 
-@dataclass(frozen=True)
-class CoveringBoundReport:
+class CoveringBoundReport(NamedTuple):
     """One application of the excess-degree-sequence test at block count z."""
 
     params: CoveringParams

@@ -18,9 +18,8 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, LimitError, check_k
 from .multiset import MAX_DEGREE_SUM, DegreeSequence, check_degree_sum
@@ -31,8 +30,7 @@ WORST_CASE_MAX_ORDER = 9
 Chooser = Callable[[Sequence[int]], int]
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Multigraph on vertices 0..n-1; edges keyed by ordered pair u <= v.
 
     A key (u, u) is a loop and adds 2 to the degree of u."""

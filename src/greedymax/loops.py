@@ -160,14 +160,11 @@ def construct_extremal_loop_multigraph(
         )
         matching = m1 + list(zip(v_m2[0::2], v_m2[1::2]))
     # the matching edges (never loops), then the rest of each degree as loops
-    edge_mult: dict[tuple[int, int], int] = {}
     rest = degrees[:]
+    edges = []
     for u, v in matching:
-        key = (min(u, v), max(u, v))
-        edge_mult[key] = edge_mult.get(key, 0) + 1
         rest[u] -= 1
         rest[v] -= 1
-    for i in range(n):
-        if rest[i]:
-            edge_mult[(i, i)] = rest[i] // 2
-    return Multigraph(n, tuple(sorted(edge_mult.items())))
+        edges.append((u, v, 1))
+    edges += [(i, i, r // 2) for i, r in enumerate(rest) if r // 2]
+    return Multigraph.from_edges(n, edges, loops=True)

@@ -12,8 +12,7 @@ module functions build, guard or render sequences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, LimitError, check_k
 
@@ -30,8 +29,7 @@ MAX_DEGREE_SUM = 2**21
 _JSON_INT = re.compile(r"[ \t\n\r]*-?(?:0|[1-9][0-9]*)[ \t\n\r]*")
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(NamedTuple):
     """Immutable multiset of nonnegative integers.
 
     ``items`` is the canonical sorted tuple of (value, multiplicity) pairs
@@ -101,6 +99,10 @@ class DegreeSequence:
 
     def __repr__(self) -> str:
         return "{%s}" % ",".join(str(v) for v in self.values())
+
+    def __reduce__(self):
+        # for copy and pickle: tuple(self) would be sized by __len__, the order
+        return DegreeSequence, (self.items,)
 
     # -- mu / sigma calculus -------------------------------------------
 

@@ -25,7 +25,7 @@ the maximum is k the steps left follow in closed form.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, check_k
 from .multiset import DegreeSequence, check_degree_sum
@@ -35,18 +35,18 @@ class _Blocks:
     """Multiset state for the decrement schedule, kept as runs of equal values.
 
     ``blocks`` holds the (value, multiplicity) pairs of the positive values
-    in increasing order and ``zeros`` counts the zero elements; ``order``
-    and ``total`` are updated in O(1) per change.  The schedule only ever
-    moves whole runs: above k the top block of multiplicity c drops one
-    level per c decrements, and at or below k the smallest positive element
-    falls straight to 0.  ``reduce`` therefore applies its m decrements in
+    in increasing order and ``zeros`` counts the zero elements; ``total``
+    is updated in O(1) per change.  The schedule only ever moves whole
+    runs: above k the top block of multiplicity c drops one level per c
+    decrements, and at or below k the smallest positive element falls
+    straight to 0.  ``reduce`` therefore applies its m decrements in
     closed form, one block at a time, and its cost does not depend on m or
     on the size of the values.  The constructor is the core's one input
     check, k >= 1 and D graphical; no later term needs it, as each is the
     degree sequence of what the witness of ``graphs.construct_worst_case``
     has left after its scripted deletions."""
 
-    __slots__ = ("blocks", "zeros", "order", "total", "k")
+    __slots__ = ("blocks", "zeros", "total", "k")
 
     def __init__(self, D: DegreeSequence, k: int):
         check_k(k)
@@ -55,7 +55,6 @@ class _Blocks:
         items = D.items
         self.zeros = items[0][1] if items and items[0][0] == 0 else 0
         self.blocks = deque(items[1:] if self.zeros else items)
-        self.order = D.order
         self.total = D.total
         self.k = k
 
@@ -80,7 +79,6 @@ class _Blocks:
         k = self.k
         total = self.total
         m, c = blocks[-1] if blocks else (0, 0)
-        self.order -= 1
         if c > 1:
             blocks[-1] = (m, c - 1)
         elif c:
@@ -89,7 +87,8 @@ class _Blocks:
             self.zeros -= 1
         total -= m
         if total < m + 2 * k or not blocks or blocks[-1][0] < k:
-            self.zeros, self.total = self.order, 0
+            self.zeros += sum(c for _, c in blocks)
+            self.total = 0
             blocks.clear()
             return True
         # what is left sums to at least m + 2k, so the blocks never run out
@@ -178,13 +177,11 @@ class _Blocks:
                 blocks.append((q, c - r))
             if r:
                 blocks.append((q + 1, r))
-            self.order -= steps
             self.total -= start - T
         return steps
 
 
-@dataclass(frozen=True)
-class DecrementTrace:
+class DecrementTrace(NamedTuple):
     """Full record of one reduction: the schedule and the result.
 
     The intermediate states follow from it: A_0 is the input without one
@@ -213,8 +210,7 @@ class DecrementTrace:
         }
 
 
-@dataclass(frozen=True)
-class BTrace:
+class BTrace(NamedTuple):
     """Iteration chain D, O(D), O^2(D), ... down to the first trivial term."""
 
     k: int

@@ -11,8 +11,7 @@ instances, not production decision procedures.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import InputError, LimitError, check_k
 from .multiset import DegreeSequence, from_sigma
@@ -22,8 +21,7 @@ PRECEDES_MAX_ORDER = 7
 PRECEDES_MAX_SUM = 26
 
 
-@dataclass(frozen=True)
-class ElementaryStep:
+class ElementaryStep(NamedTuple):
     kind: Literal["addition", "transfer"]
     x: int
     y: int
