@@ -7,11 +7,14 @@ bounds, and loops the loop-multigraph variant.  Exit codes: 0 success,
 2 input error, 3 resource guard exceeded.
 
 A subcommand is added as one ``COMMANDS`` row (name, help, arguments,
-handler).  A handler returns ``(payload, text)``, and ``main`` prints the
-payload as JSON under ``--format json`` (unless it is None), else the text.
-``text`` is a zero-argument callable, so the text is only built when it is
-printed; the handler does all work that can fail before it returns.
-Handlers import the heavier modules they use, so ``bound`` does not load them.
+handler).  A handler returns ``(as_json, text)``, and ``main`` prints
+``as_json()`` under ``--format json`` (unless it is None), else ``text()``.
+Both are zero-argument callables, so only the output printed is built; the
+handler does all work that can fail before it returns.  ``bound``,
+``omega``, ``trace`` and ``lab pseudo-reductions`` write their JSON from
+runs with ``write_runs``, as their text is written; every other payload
+goes through ``json.dumps``.  Handlers import the heavier modules they use,
+so ``bound`` does not load them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 
 from .errors import InputError, LimitError
-from .multiset import parse_degrees, render_ferrers
+from .multiset import parse_degrees, render_ferrers, write_runs
 from .omega import b as omega_b
 from .omega import decrement_sequence, omega
 
@@ -47,10 +50,24 @@ def _section(data, key: str):
     return data[key] if isinstance(data, dict) and key in data else data
 
 
+def _array(D) -> str:
+    """The values of D as a JSON array, spaced as ``json.dumps`` spaces it."""
+    return f"[{write_runs(D.items, ', ')}]"
+
+
+def _object(**fields) -> str:
+    """A JSON object of fields whose values are ints or JSON text, spaced
+    as ``json.dumps`` spaces it."""
+    return "{%s}" % ", ".join(f'"{key}": {value}' for key, value in fields.items())
+
+
 def cmd_bound(args):
     D = parse_degrees(args.degrees)
     trace = omega_b(D, args.k)
-    return trace.to_json(), lambda: "\n".join(
+    return lambda: _object(
+        k=trace.k, b=trace.b, p=trace.p,
+        chain=f"[{', '.join(map(_array, trace.chain))}]",
+    ), lambda: "\n".join(
         [f"b = {trace.b}  (p = {trace.p}, n = {len(D)})"]
         + [f"  chain[{i}] = {step}" for i, step in enumerate(trace.chain)]
     )
@@ -58,15 +75,20 @@ def cmd_bound(args):
 
 def cmd_omega(args):
     out = omega(parse_degrees(args.degrees), args.k)
-    return {"k": args.k, "omega": out.values()}, lambda: str(out)
+    return lambda: _object(k=args.k, omega=_array(out)), lambda: str(out)
 
 
 def cmd_trace(args):
     trace = decrement_sequence(parse_degrees(args.degrees), args.k)
+    as_json = lambda: _object(
+        k=trace.k, input=_array(trace.input), m=trace.m, s=trace.s,
+        a=f"[{trace.write_schedule(', ')}]", omega=_array(trace.omega),
+        degenerate=str(trace.degenerate).lower(),
+    )
     if trace.degenerate:
-        return trace.to_json(), lambda: f"degenerate: omega = {trace.omega}"
-    return trace.to_json(), lambda: (
-        f"a = ({','.join(map(str, trace.a))})  s = {trace.s}\n"
+        return as_json, lambda: f"degenerate: omega = {trace.omega}"
+    return as_json, lambda: (
+        f"a = ({trace.write_schedule(',')})  s = {trace.s}\n"
         f"omega = {trace.omega}"
     )
 
@@ -82,7 +104,7 @@ def cmd_construct(args):
         "script": {"deletions": script},
         "b": len(D) - len(script),
     }
-    return payload, lambda: (
+    return functools.partial(json.dumps, payload), lambda: (
         f"graph: {json.dumps(payload['graph'])}\n"
         f"deletions: {script}\n"
         f"survivors: {payload['b']}"
@@ -97,7 +119,9 @@ def cmd_verify(args):
     if args.exhaustive:
         size, script = graphs.max_worst_case(G, args.k)
         payload = {"k": args.k, "worst_case": size, "script": script}
-        return payload, lambda: f"worst case over all runs: {size}  (script {script})"
+        return functools.partial(json.dumps, payload), lambda: (
+            f"worst case over all runs: {size}  (script {script})"
+        )
     chooser = None
     if args.script:
         data = _section(_load_json(args.script), "script")
@@ -111,7 +135,9 @@ def cmd_verify(args):
         "size": len(survivors),
         "log": [[v, d] for v, d in log],
     }
-    return payload, lambda: f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
+    return functools.partial(json.dumps, payload), lambda: (
+        f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
+    )
 
 
 def cmd_ferrers(args):
@@ -124,15 +150,17 @@ def cmd_lab_precedes(args):
     from . import orderlab
 
     result = orderlab.precedes(parse_degrees(args.d), parse_degrees(args.e), args.k)
-    return {"k": args.k, "precedes": result}, lambda: str(result).lower()
+    payload = {"k": args.k, "precedes": result}
+    return functools.partial(json.dumps, payload), lambda: str(result).lower()
 
 
 def cmd_lab_pseudo(args):
     from . import orderlab
 
     outs = orderlab.pseudo_reductions(parse_degrees(args.degrees), args.k)
-    payload = {"k": args.k, "pseudo_reductions": [o.values() for o in outs]}
-    return payload, lambda: "\n".join(str(o) for o in outs)
+    return lambda: _object(
+        k=args.k, pseudo_reductions=f"[{', '.join(map(_array, outs))}]"
+    ), lambda: "\n".join(str(o) for o in outs)
 
 
 def cmd_covering(args):
@@ -162,7 +190,7 @@ def cmd_covering(args):
             )
         return "\n".join(lines)
 
-    return payload, text
+    return functools.partial(json.dumps, payload), text
 
 
 def cmd_covering_scan(args):
@@ -184,7 +212,7 @@ def cmd_covering_scan(args):
             ]
         return "\n".join(lines)
 
-    return rows, text
+    return functools.partial(json.dumps, rows), text
 
 
 def cmd_loops(args):
@@ -194,10 +222,11 @@ def cmd_loops(args):
     value = loops.alpha_k_min_loops(D, args.k)
     payload: dict = {"k": args.k, "alpha_min": value}
     head = f"minimum alpha_{args.k} over loop realizations: {value}"
+    as_json = functools.partial(json.dumps, payload)
     if not args.construct:
-        return payload, lambda: head
+        return as_json, lambda: head
     payload["graph"] = loops.construct_extremal_loop_multigraph(D, args.k).to_json()
-    return payload, lambda: f"{head}\nextremal graph: {json.dumps(payload['graph'])}"
+    return as_json, lambda: f"{head}\nextremal graph: {json.dumps(payload['graph'])}"
 
 
 _K = ("--k", {"type": int, "required": True})
@@ -264,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, text = args.func(args)
-        print(text() if payload is None or args.format != "json" else json.dumps(payload))
+        as_json, text = args.func(args)
+        print(text() if as_json is None or args.format != "json" else as_json())
     except (InputError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_LIMIT

@@ -6,7 +6,10 @@ profile of the Ferrers diagram and is the workhorse for the dominance
 arguments elsewhere; it is read from the runs, never stored.
 
 Every query or edit of a sequence is a ``DegreeSequence`` method; the
-module functions build, guard or render sequences.
+module functions build, guard or render sequences.  ``write_runs`` writes
+runs as text, one string repeat per run, so writing a sequence costs its d
+runs plus the characters written, not one conversion per element; its
+``repr`` and the CLI's output go through it.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class DegreeSequence(NamedTuple):
         return self.items[-1][0]
 
     def values(self) -> list[int]:
-        """Sorted nondecreasing value list (canonical serialized form)."""
+        """Sorted nondecreasing value list, one entry per element."""
         out: list[int] = []
         for v, m in self.items:
             out.extend([v] * m)
@@ -98,7 +101,7 @@ class DegreeSequence(NamedTuple):
         return self.mu(v) > 0
 
     def __repr__(self) -> str:
-        return "{%s}" % ",".join(str(v) for v in self.values())
+        return "{%s}" % write_runs(self.items, ",")
 
     def __reduce__(self):
         # for copy and pickle: tuple(self) would be sized by __len__, the order
@@ -163,6 +166,14 @@ class DegreeSequence(NamedTuple):
         if not self.items:
             return True
         return self.max_value < k
+
+
+def write_runs(runs: Iterable[tuple[object, int]], sep: str) -> str:
+    """The entries of (value, count) runs as text, with ``sep`` between
+    entries: each value is converted to a string once and repeated count
+    times, so the cost follows the number of runs, not of entries."""
+    text = "".join([f"{v}{sep}" * c for v, c in runs])
+    return text[: len(text) - len(sep)]
 
 
 def make_degree_sequence(values: Iterable[int]) -> DegreeSequence:

@@ -12,8 +12,11 @@ A_0 the input less one m, follow from A_0 in two phases.  First the
 elements above k sink to k: the top run goes down one level at a time,
 each level listed once per element of the run, and every run it reaches
 joins it.  Then every element is at most k, and each falls to 0 in turn,
-smallest first.  ``decrement_sequence`` writes the schedule this way in
-O(d + s) for d distinct values.
+smallest first.  ``decrement_sequence`` keeps the schedule as these
+segments, at most two per distinct value, so its record costs O(d) for d
+distinct values whatever s is.  Writing the schedule out costs its
+characters plus one int-to-string conversion per hundred levels of a
+segment; a countdown is written once and repeated.
 
 ``b`` builds every term of the chain, one ``_Blocks.reduce`` a step.
 ``chain_length`` returns only the number of steps p, so b = n - p, and
@@ -28,7 +31,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import InputError, check_k
-from .multiset import DegreeSequence, check_degree_sum
+from .multiset import DegreeSequence, check_degree_sum, write_runs
 
 
 class _Blocks:
@@ -188,26 +191,54 @@ class DecrementTrace(NamedTuple):
     copy of m, A_i is A_{i-1} with one copy of a_i replaced by a_i - 1, and
     omega is A_m unless the reduction is degenerate.  The schedule ``a``
     lists the levels the elements above k pass through as they sink to k,
-    then each element counting down from min(x, k) to 1, smallest first."""
+    then each element counting down from min(x, k) to 1, smallest first.
+
+    ``segments`` holds it as (hi, lo, c, n): the levels hi, hi - 1, ...,
+    lo + 1, each listed c times, and that block listed n times.  A sinking
+    segment has n = 1 and a countdown has lo = 0 and c = 1, one of each at
+    most per distinct value of A_0."""
 
     k: int
     input: DegreeSequence
     m: int
     s: int
-    a: tuple[int, ...]
+    segments: tuple[tuple[int, int, int, int], ...]
     omega: DegreeSequence
     degenerate: bool
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "input": self.input.values(),
-            "m": self.m,
-            "s": self.s,
-            "a": list(self.a),
-            "omega": self.omega.values(),
-            "degenerate": self.degenerate,
-        }
+    @property
+    def a(self) -> tuple[int, ...]:
+        """The schedule (a_1, ..., a_s), expanded from ``segments``."""
+        return tuple(
+            x for hi, lo, c, n in self.segments for _ in range(n)
+            for x in range(hi, lo, -1) for _ in range(c)
+        )
+
+    def write_schedule(self, sep: str) -> str:
+        """The schedule as text with ``sep`` between entries, written from
+        ``segments``: each block of levels is written once and repeated n
+        times.  ``sep`` holds no "#", the digit templates' placeholder."""
+        return write_runs(
+            ((_write_levels(hi, lo, c, sep), n) for hi, lo, c, n in self.segments), sep
+        )
+
+
+def _write_levels(hi: int, lo: int, c: int, sep: str) -> str:
+    """The levels hi, hi - 1, ..., lo + 1, each listed c times, as text with
+    ``sep`` between entries.  The levels 100q + 99, ..., 100q of a whole
+    hundred are one template of their last two digits with str(q) put in,
+    so a long range costs one conversion per hundred levels, not per level."""
+    q_hi, q_lo = (hi - 99) // 100, lo // 100 + 1  # the whole hundreds
+    if q_hi < q_lo:
+        text = "".join([f"{x}{sep}" * c for x in range(hi, lo, -1)])
+    else:
+        hundred = "".join([f"#{r:02d}{sep}" * c for r in range(99, -1, -1)])
+        text = "".join(
+            [f"{x}{sep}" * c for x in range(hi, 100 * q_hi + 99, -1)]
+            + [hundred.replace("#", str(q)) for q in range(q_hi, q_lo - 1, -1)]
+            + [f"{x}{sep}" * c for x in range(100 * q_lo - 1, lo, -1)]
+        )
+    return text[: len(text) - len(sep)]
 
 
 class BTrace(NamedTuple):
@@ -217,14 +248,6 @@ class BTrace(NamedTuple):
     chain: tuple[DegreeSequence, ...]
     p: int
     b: int
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "b": self.b,
-            "p": self.p,
-            "chain": [D.values() for D in self.chain],
-        }
 
 
 def omega(D: DegreeSequence, k: int) -> DegreeSequence:
@@ -239,9 +262,10 @@ def omega(D: DegreeSequence, k: int) -> DegreeSequence:
 def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     """The full decrement schedule (a_1, ..., a_s) of D, with s = sum(A_0).
 
-    The schedule is written from A_0 in its two phases, in O(d + s).  In
-    the degenerate branch (reduction forced to all zeros) it is unused and
-    returned empty.  Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
+    The schedule is kept as the segments of its two phases, read off A_0's
+    runs in O(d).  In the degenerate branch (reduction forced to all
+    zeros) it is unused and returned empty.  Raises LimitError when sum(D)
+    exceeds MAX_DEGREE_SUM, as the schedule written out has s entries."""
     state = _Blocks(D, k)
     if not D.items:
         raise InputError("cannot reduce the empty sequence")
@@ -250,7 +274,7 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     check_degree_sum(D)
     m = D.max_value
     degenerate = state.reduce()
-    a: list[int] = []
+    segments = []
     items = () if degenerate else D.without_one(m).items  # A_0's runs
     # sink to k; c counts the elements above k, all at the current level
     c = 0
@@ -259,20 +283,11 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
         if v <= k:
             break
         c += n
-        below = max(items[i - 1][0], k) if i else k
-        # levels v, v - 1, ..., below + 1, each listed c times; the c
-        # interleaved slices share one int object per level
-        down = list(range(v, below, -1))
-        start = len(a)
-        a += [0] * (c * len(down))
-        for j in range(c):
-            a[start + j::c] = down
+        segments.append((v, max(items[i - 1][0], k) if i else k, c, 1))
     # fall to 0: every element is at most k now, smallest first
-    for x, n in items:
-        if x:
-            a += list(range(min(x, k), 0, -1)) * n
+    segments += [(min(x, k), 0, 1, n) for x, n in items if x]
     return DecrementTrace(
-        k=k, input=D, m=m, s=D.total - m, a=tuple(a),
+        k=k, input=D, m=m, s=D.total - m, segments=tuple(segments),
         omega=state.sequence(), degenerate=degenerate,
     )
 

@@ -5,6 +5,7 @@ import pytest
 
 import unit_schedule as ref
 from conftest import graphical_sequences, random_graphical, schedule_states
+from greedymax.cli import main
 from greedymax.errors import InputError, LimitError
 from greedymax.multiset import MAX_DEGREE_SUM, make_degree_sequence
 from greedymax.omega import b, chain_length, decrement_sequence, omega
@@ -139,14 +140,32 @@ def test_core_errors_come_in_order(name, D, k, expected):
     assert result == expected
 
 
-def test_btrace_json_shape():
-    payload = b(D_EX, 3).to_json()
-    assert payload["k"] == 3 and payload["b"] == 4 and payload["p"] == 3
-    assert payload["chain"][0] == [1, 2, 2, 4, 4, 5, 6]
-    json.dumps(payload)
-    t = decrement_sequence(D_EX, 3).to_json()
+def test_btrace_json_shape(capsys):
+    # the JSON of bound and trace is written from runs, so read it back
+    def payload(cmd):
+        assert main(["--format", "json", cmd, "--k", "3", "--degrees", "6,5,4,4,2,2,1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    bound = payload("bound")
+    assert bound["k"] == 3 and bound["b"] == 4 and bound["p"] == 3
+    assert bound["chain"][0] == [1, 2, 2, 4, 4, 5, 6]
+    t = payload("trace")
     assert t["a"][0] == 5 and t["degenerate"] is False
-    json.dumps(t)
+
+
+@pytest.mark.parametrize("vals", [
+    [1048575, 1048575, 2],
+    *([M, M, M, 2] for M in (4, 2**10, 2**16, (MAX_DEGREE_SUM - 2) // 3)),
+], ids=lambda vals: "{%s}" % ",".join(map(str, vals)))
+def test_schedule_segments_follow_the_distinct_values(vals):
+    # at most a sinking segment and a countdown per distinct value, whatever
+    # the size of the degrees; together they list the s scheduled entries
+    D = make_degree_sequence(vals)
+    for k in (1, 2, 3):
+        t = decrement_sequence(D, k)
+        assert len(t.segments) <= 2 * len(D.items)
+        listed = sum(n * c * (hi - lo) for hi, lo, c, n in t.segments)
+        assert listed == (0 if t.degenerate else t.s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
