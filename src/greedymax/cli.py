@@ -4,17 +4,15 @@ Subcommands map 1:1 onto the library: bound / omega / trace / construct /
 verify expose the reduction chain and witness machinery, lab exposes the
 order-theoretic oracles, covering and covering-scan the pair-covering
 bounds, and loops the loop-multigraph variant.  Exit codes: 0 success,
-2 input error, 3 resource guard exceeded.
+2 input error, 3 size guard exceeded (``errors.check_limit``).
 
 A subcommand is added as one ``COMMANDS`` row (name, help, arguments,
-handler).  A handler returns ``(as_json, text)``, and ``main`` prints
-``as_json()`` under ``--format json`` (unless it is None), else ``text()``.
-Both are zero-argument callables, so only the output printed is built; the
-handler does all work that can fail before it returns.  ``bound``,
-``omega``, ``trace`` and ``lab pseudo-reductions`` write their JSON from
-runs with ``write_runs``, as their text is written; every other payload
-goes through ``json.dumps``.  Handlers import the heavier modules they use,
-so ``bound`` does not load them.
+handler).  A handler returns the string it prints for ``args.format``,
+building only that output, and ``main`` prints it.  ``bound``, ``omega``,
+``trace`` and ``lab pseudo-reductions`` write their JSON from runs with
+``write_runs``, as their text is written; every other payload goes through
+``json.dumps``.  Handlers import the heavier modules they use, so ``bound``
+does not load them.
 """
 
 from __future__ import annotations
@@ -64,10 +62,12 @@ def _object(**fields) -> str:
 def cmd_bound(args):
     D = parse_degrees(args.degrees)
     trace = omega_b(D, args.k)
-    return lambda: _object(
-        k=trace.k, b=trace.b, p=trace.p,
-        chain=f"[{', '.join(map(_array, trace.chain))}]",
-    ), lambda: "\n".join(
+    if args.format == "json":
+        return _object(
+            k=trace.k, b=trace.b, p=trace.p,
+            chain=f"[{', '.join(map(_array, trace.chain))}]",
+        )
+    return "\n".join(
         [f"b = {trace.b}  (p = {trace.p}, n = {len(D)})"]
         + [f"  chain[{i}] = {step}" for i, step in enumerate(trace.chain)]
     )
@@ -75,19 +75,22 @@ def cmd_bound(args):
 
 def cmd_omega(args):
     out = omega(parse_degrees(args.degrees), args.k)
-    return lambda: _object(k=args.k, omega=_array(out)), lambda: str(out)
+    if args.format == "json":
+        return _object(k=args.k, omega=_array(out))
+    return str(out)
 
 
 def cmd_trace(args):
     trace = decrement_sequence(parse_degrees(args.degrees), args.k)
-    as_json = lambda: _object(
-        k=trace.k, input=_array(trace.input), m=trace.m, s=trace.s,
-        a=f"[{trace.write_schedule(', ')}]", omega=_array(trace.omega),
-        degenerate=str(trace.degenerate).lower(),
-    )
+    if args.format == "json":
+        return _object(
+            k=trace.k, input=_array(trace.input), m=trace.m, s=trace.s,
+            a=f"[{trace.write_schedule(', ')}]", omega=_array(trace.omega),
+            degenerate=str(trace.degenerate).lower(),
+        )
     if trace.degenerate:
-        return as_json, lambda: f"degenerate: omega = {trace.omega}"
-    return as_json, lambda: (
+        return f"degenerate: omega = {trace.omega}"
+    return (
         f"a = ({trace.write_schedule(',')})  s = {trace.s}\n"
         f"omega = {trace.omega}"
     )
@@ -98,16 +101,17 @@ def cmd_construct(args):
 
     D = parse_degrees(args.degrees)
     G, script = graphs.construct_worst_case(D, args.k)
-    payload = {
-        "k": args.k,
-        "graph": G.to_json(),
-        "script": {"deletions": script},
-        "b": len(D) - len(script),
-    }
-    return functools.partial(json.dumps, payload), lambda: (
-        f"graph: {json.dumps(payload['graph'])}\n"
+    if args.format == "json":
+        return json.dumps({
+            "k": args.k,
+            "graph": G.to_json(),
+            "script": {"deletions": script},
+            "b": len(D) - len(script),
+        })
+    return (
+        f"graph: {json.dumps(G.to_json())}\n"
         f"deletions: {script}\n"
-        f"survivors: {payload['b']}"
+        f"survivors: {len(D) - len(script)}"
     )
 
 
@@ -118,10 +122,9 @@ def cmd_verify(args):
     G = graphs.Multigraph.from_json(_section(_load_json(args.graph), "graph"))
     if args.exhaustive:
         size, script = graphs.max_worst_case(G, args.k)
-        payload = {"k": args.k, "worst_case": size, "script": script}
-        return functools.partial(json.dumps, payload), lambda: (
-            f"worst case over all runs: {size}  (script {script})"
-        )
+        if args.format == "json":
+            return json.dumps({"k": args.k, "worst_case": size, "script": script})
+        return f"worst case over all runs: {size}  (script {script})"
     chooser = None
     if args.script:
         data = _section(_load_json(args.script), "script")
@@ -129,38 +132,37 @@ def cmd_verify(args):
             raise InputError(f"malformed deletion script JSON in {args.script}")
         chooser = graphs.make_scripted_chooser(data.get("deletions", []))
     survivors, log = graphs.max_run(G, args.k, chooser)
-    payload = {
-        "k": args.k,
-        "survivors": survivors,
-        "size": len(survivors),
-        "log": [[v, d] for v, d in log],
-    }
-    return functools.partial(json.dumps, payload), lambda: (
-        f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
-    )
+    if args.format == "json":
+        return json.dumps({
+            "k": args.k,
+            "survivors": survivors,
+            "size": len(survivors),
+            "log": [[v, d] for v, d in log],
+        })
+    return f"survivors ({len(survivors)}): {survivors}\nlog: {log}"
 
 
 def cmd_ferrers(args):
     # the diagram is the output in every format
-    diagram = render_ferrers(parse_degrees(args.degrees), args.k)
-    return None, lambda: diagram
+    return render_ferrers(parse_degrees(args.degrees), args.k)
 
 
 def cmd_lab_precedes(args):
     from . import orderlab
 
     result = orderlab.precedes(parse_degrees(args.d), parse_degrees(args.e), args.k)
-    payload = {"k": args.k, "precedes": result}
-    return functools.partial(json.dumps, payload), lambda: str(result).lower()
+    if args.format == "json":
+        return json.dumps({"k": args.k, "precedes": result})
+    return str(result).lower()
 
 
 def cmd_lab_pseudo(args):
     from . import orderlab
 
     outs = orderlab.pseudo_reductions(parse_degrees(args.degrees), args.k)
-    return lambda: _object(
-        k=args.k, pseudo_reductions=f"[{', '.join(map(_array, outs))}]"
-    ), lambda: "\n".join(str(o) for o in outs)
+    if args.format == "json":
+        return _object(k=args.k, pseudo_reductions=f"[{', '.join(map(_array, outs))}]")
+    return "\n".join(str(o) for o in outs)
 
 
 def cmd_covering(args):
@@ -171,26 +173,23 @@ def cmd_covering(args):
         args.v, args.kappa, args.lam
     )
     final, reports = covering.covering_lower_bound(params, start)
-    payload = {
-        "v": args.v,
-        "kappa": args.kappa,
-        "lambda": args.lam,
-        "start": start,
-        "bound": final,
-        "reports": [r.to_json() for r in reports],
-    }
-
-    def text():
-        lines = [f"C_{args.lam}({args.v},{args.kappa}) >= {final}"]
-        for r in reports:
-            lines.append(
-                f"  z={r.z}: r={r.r} d={r.d} s={r.s} ell={r.ell} "
-                f"k={r.k} b={r.b} contradiction={r.contradiction}"
-                + (f" ({r.reason})" if r.reason else "")
-            )
-        return "\n".join(lines)
-
-    return functools.partial(json.dumps, payload), text
+    if args.format == "json":
+        return json.dumps({
+            "v": args.v,
+            "kappa": args.kappa,
+            "lambda": args.lam,
+            "start": start,
+            "bound": final,
+            "reports": [r.to_json() for r in reports],
+        })
+    lines = [f"C_{args.lam}({args.v},{args.kappa}) >= {final}"]
+    for r in reports:
+        lines.append(
+            f"  z={r.z}: r={r.r} d={r.d} s={r.s} ell={r.ell} "
+            f"k={r.k} b={r.b} contradiction={r.contradiction}"
+            + (f" ({r.reason})" if r.reason else "")
+        )
+    return "\n".join(lines)
 
 
 def cmd_covering_scan(args):
@@ -198,35 +197,34 @@ def cmd_covering_scan(args):
 
     priors = covering.load_priors(args.priors) if args.priors else None
     rows = covering.scan_table(args.kappa_min, args.kappa_max, args.lam, priors)
-
-    def text():
-        if args.format == "csv":
-            lines = [",".join(covering.CSV_COLUMNS)]
-            lines += [",".join(map(str, row)) for row in rows]
-        else:
-            lines = [f"{'kappa':>5} {'v':>5} {'d':>3} {'r':>3} {'ell':>4} {'prev':>5} {'new':>5}  source"]
-            lines += [
-                f"{r.kappa:>5} {r.v:>5} {r.d:>3} {r.r:>3} {r.ell:>4} "
-                f"{r.previous:>5} {r.new:>5}  {r.source}"
-                for r in rows
-            ]
-        return "\n".join(lines)
-
-    return functools.partial(json.dumps, rows), text
+    if args.format == "json":
+        return json.dumps(rows)
+    if args.format == "csv":
+        lines = [",".join(covering.CSV_COLUMNS)]
+        lines += [",".join(map(str, row)) for row in rows]
+    else:
+        lines = [f"{'kappa':>5} {'v':>5} {'d':>3} {'r':>3} {'ell':>4} {'prev':>5} {'new':>5}  source"]
+        lines += [
+            f"{r.kappa:>5} {r.v:>5} {r.d:>3} {r.r:>3} {r.ell:>4} "
+            f"{r.previous:>5} {r.new:>5}  {r.source}"
+            for r in rows
+        ]
+    return "\n".join(lines)
 
 
 def cmd_loops(args):
     from . import loops
 
     D = parse_degrees(args.degrees)
-    value = loops.alpha_k_min_loops(D, args.k)
-    payload: dict = {"k": args.k, "alpha_min": value}
-    head = f"minimum alpha_{args.k} over loop realizations: {value}"
-    as_json = functools.partial(json.dumps, payload)
-    if not args.construct:
-        return as_json, lambda: head
-    payload["graph"] = loops.construct_extremal_loop_multigraph(D, args.k).to_json()
-    return as_json, lambda: f"{head}\nextremal graph: {json.dumps(payload['graph'])}"
+    payload: dict = {"k": args.k, "alpha_min": loops.alpha_k_min_loops(D, args.k)}
+    if args.construct:
+        payload["graph"] = loops.construct_extremal_loop_multigraph(D, args.k).to_json()
+    if args.format == "json":
+        return json.dumps(payload)
+    lines = [f"minimum alpha_{args.k} over loop realizations: {payload['alpha_min']}"]
+    if args.construct:
+        lines.append(f"extremal graph: {json.dumps(payload['graph'])}")
+    return "\n".join(lines)
 
 
 _K = ("--k", {"type": int, "required": True})
@@ -293,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        as_json, text = args.func(args)
-        print(text() if as_json is None or args.format != "json" else as_json())
+        print(args.func(args))
     except (InputError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_LIMIT

@@ -101,11 +101,7 @@ def apply_bound(params: CoveringParams, z: int) -> CoveringBoundReport:
     s, ell = divmod(surplus, params.v)
     high = d + (s + 1) * (params.kappa - 1)
     low = d + s * (params.kappa - 1)
-    counts: dict[int, int] = {}
-    if ell:
-        counts[high] = ell
-    counts[low] = counts.get(low, 0) + params.v - ell
-    D = DegreeSequence.from_counts(counts)
+    D = DegreeSequence.from_counts({high: ell, low: params.v - ell})
     k = r - params.lam
     if D.is_graphical():
         b = params.v - chain_length(D, k)

@@ -21,8 +21,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InputError, LimitError, check_k
-from .multiset import MAX_DEGREE_SUM, DegreeSequence, check_degree_sum
+from .errors import InputError, check_k, check_limit
+from .multiset import MAX_DEGREE_SUM, DegreeSequence
 from .omega import b
 
 WORST_CASE_MAX_ORDER = 9
@@ -49,8 +49,7 @@ class Multigraph(NamedTuple):
             raise InputError(f"vertex count {n!r} must be an integer")
         if n < 0:
             raise InputError(f"vertex count {n} must be nonnegative")
-        if n > MAX_DEGREE_SUM:
-            raise LimitError(f"vertex count {n} exceeds guard {MAX_DEGREE_SUM}")
+        check_limit("vertex count", n, MAX_DEGREE_SUM)
         acc: dict[tuple[int, int], int] = {}
         for item in edges:
             if len(item) != 3:
@@ -215,8 +214,7 @@ def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
     Depth-first search over choice trees, memoized on the surviving vertex
     set (which determines the residual subgraph exactly)."""
     check_k(k)
-    if G.n > WORST_CASE_MAX_ORDER:
-        raise LimitError(f"graph order {G.n} exceeds guard {WORST_CASE_MAX_ORDER}")
+    check_limit("graph order", G.n, WORST_CASE_MAX_ORDER)
     adj = G.adjacency()
     memo: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
 
@@ -269,7 +267,7 @@ def construct_worst_case(
     exceed MAX_DEGREE_SUM."""
     chain = b(D, k).chain
     if D.order * (D.order - 1) > MAX_DEGREE_SUM:
-        check_degree_sum(D)
+        check_limit("degree sum", D.total, MAX_DEGREE_SUM)
     j = len(chain) - 2  # chain[j] is the last nontrivial term
     if j < 0:
         return realize(D), []

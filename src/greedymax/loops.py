@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import InputError, LimitError, check_k
+from .errors import InputError, check_k, check_limit
 from .graphs import Multigraph
 from .multiset import DegreeSequence
 
@@ -54,8 +54,7 @@ def alpha_k_bruteforce(G: Multigraph, k: int) -> int:
     induced subgraph containing it, so it is in no k-independent set;
     dropping such vertices first leaves the maximum unchanged."""
     check_k(k)
-    if G.n > BRUTEFORCE_MAX_ORDER:
-        raise LimitError(f"order {G.n} exceeds guard {BRUTEFORCE_MAX_ORDER}")
+    check_limit("order", G.n, BRUTEFORCE_MAX_ORDER)
     # rows[v][u] is the degree v takes from u, as in Multigraph.adjacency
     rows = [[0] * G.n for _ in range(G.n)]
     for (a, c), m in G.edges:
@@ -83,13 +82,9 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[Multigraph]:
     tuple per rejected candidate row: the 150,608 of every graphical D with
     order <= 6 and sum <= 18 take about 0.7 s (CPython 3.11 on a shared
     2-vCPU VM)."""
-    degrees = sorted(D.values())
-    n = len(degrees)
-    if n > ENUM_MAX_ORDER or D.total > ENUM_MAX_SUM:
-        raise LimitError(
-            f"instance of order {n} and sum {D.total} exceeds guards "
-            f"(order <= {ENUM_MAX_ORDER}, sum <= {ENUM_MAX_SUM})"
-        )
+    n = D.order
+    check_limit("order", n, ENUM_MAX_ORDER)
+    check_limit("degree sum", D.total, ENUM_MAX_SUM)
     if D.total % 2 != 0:
         return
     if n < 2:
@@ -121,7 +116,7 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[Multigraph]:
                     rest = [c - m for c, m in zip(residual[1:], ms)]
                     yield from fill(i + 1, rest, head + tuple(row))
 
-    yield from fill(0, degrees, ())
+    yield from fill(0, D.values(), ())
 
 
 def construct_extremal_loop_multigraph(
@@ -141,7 +136,7 @@ def construct_extremal_loop_multigraph(
         raise InputError("all elements must be positive")
     if D.total % 2 != 0:
         raise InputError("sum of degrees must be even")
-    degrees = sorted(D.values())
+    degrees = D.values()
     n = len(degrees)
     if k % 2 == 0:
         odd = [i for i in range(n) if degrees[i] % 2 == 1]

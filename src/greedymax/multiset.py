@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError, LimitError, check_k
+from .errors import InputError, check_k, check_limit
 
 MAX_DEGREE = 2**31 - 1
 
@@ -223,18 +223,12 @@ def parse_degrees(text: str) -> DegreeSequence:
     return DegreeSequence.from_values(vals)
 
 
-def check_degree_sum(D: DegreeSequence) -> None:
-    """Raise LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
-    if D.total > MAX_DEGREE_SUM:
-        raise LimitError(f"degree sum {D.total} exceeds guard {MAX_DEGREE_SUM}")
-
-
 def render_ferrers(D: DegreeSequence, k: int) -> str:
     """Monospace Ferrers diagram, rows nonincreasing, rule after column k.
 
     Raises LimitError when sum(D) exceeds MAX_DEGREE_SUM."""
     check_k(k)
-    check_degree_sum(D)
+    check_limit("degree sum", D.total, MAX_DEGREE_SUM)
     lines = []
     for v in sorted(D.values(), reverse=True):
         if v <= k:

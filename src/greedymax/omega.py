@@ -30,8 +30,15 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .errors import InputError, check_k
-from .multiset import DegreeSequence, check_degree_sum, write_runs
+from .errors import InputError, check_k, check_limit
+from .multiset import MAX_DEGREE_SUM, DegreeSequence, write_runs
+
+# Most steps above k that ``chain_length`` takes, each one ``reduce`` or one
+# iteration of a group phase, before it raises LimitError: about a second
+# (CPython 3.11, shared 2-vCPU VM).  A covering report at v can take about v
+# of them (833,333 at v = 10^6, kappa = 7, lambda = 2, from twice the
+# Schonheim bound).
+MAX_CHAIN_STEPS = 2**21
 
 
 class _Blocks:
@@ -137,9 +144,12 @@ class _Blocks:
                 self.zeros += c
         return False
 
-    def sink_group(self) -> int:
+    def sink_group(self, p: int) -> int:
         """The steps of the chain that a balanced top group absorbs, in
-        place; returns the number of steps taken.
+        place; returns the number of steps taken.  ``p`` counts the steps
+        the walk has taken, the group takes at most MAX_CHAIN_STEPS - p
+        more, and with none left LimitError is raised, as the walk, still
+        above k, needs step p + 1.
 
         The group is the top run v, with the run v - 1 if there is one, all
         above k: c elements with sum T, over the floor f = max(k, next
@@ -152,8 +162,6 @@ class _Blocks:
         blocks = self.blocks
         k = self.k
         v, c = blocks[-1]
-        if v <= k:
-            return 0
         T = v * c
         i = len(blocks) - 2
         if i >= 0 and blocks[i][0] == v - 1 > k:
@@ -163,12 +171,14 @@ class _Blocks:
         below = blocks[i][0] if i >= 0 else 0
         f = max(below, k)
         start, size = T, c
-        while True:
+        for _ in range(MAX_CHAIN_STEPS - p):
             m = -(-T // c)
             if T - 2 * m < (c - 1) * f:
                 break
             T -= 2 * m
             c -= 1
+        else:
+            check_limit("chain step", p + 1, MAX_CHAIN_STEPS)
         steps = size - c
         if steps:
             while len(blocks) > i + 1:
@@ -271,7 +281,7 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
         raise InputError("cannot reduce the empty sequence")
     if state.top < k:
         raise InputError("input is trivial")
-    check_degree_sum(D)
+    check_limit("degree sum", D.total, MAX_DEGREE_SUM)
     m = D.max_value
     degenerate = state.reduce()
     segments = []
@@ -328,11 +338,12 @@ def chain_length(D: DegreeSequence, k: int) -> int:
     copy is left (N = c), or the total before it was below 4k (N = T // 2k)
     and the step was degenerate.  The walk costs one ``reduce`` a step
     above k outside the group phases, O(1) a step inside them and O(1) for
-    the tail, whatever the size of the degrees."""
+    the tail, whatever the size of the degrees.  It raises LimitError
+    rather than take more than MAX_CHAIN_STEPS steps above k."""
     state = _Blocks(D, k)
     p = 0
     while state.top > k:
-        steps = state.sink_group()
+        steps = state.sink_group(p)
         if not steps:
             state.reduce()
             steps = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Literal, NamedTuple
 
-from .errors import InputError, LimitError, check_k
+from .errors import InputError, check_k, check_limit
 from .multiset import DegreeSequence, from_sigma
 from .omega import omega
 
@@ -95,11 +95,8 @@ def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     check_k(k)
     if len(D) != len(E):
         raise InputError("orders differ")
-    if len(D) > PRECEDES_MAX_ORDER or D.total > PRECEDES_MAX_SUM:
-        raise LimitError(
-            "instance exceeds guards "
-            f"(order <= {PRECEDES_MAX_ORDER}, sum <= {PRECEDES_MAX_SUM})"
-        )
+    check_limit("order", len(D), PRECEDES_MAX_ORDER)
+    check_limit("degree sum", D.total, PRECEDES_MAX_SUM)
     if D == E:
         return True
     # additions add 2 to the sum, transfers preserve it
@@ -137,13 +134,10 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
         raise InputError("input is not graphical")
     if E.is_trivial(k):
         raise InputError("input is trivial")
-    if E.total > PRECEDES_MAX_SUM:
-        raise LimitError(f"degree sum {E.total} exceeds guard {PRECEDES_MAX_SUM}")
+    check_limit("degree sum", E.total, PRECEDES_MAX_SUM)
     m = E.max_value
     a0 = E.without_one(m)
     target = a0.total - m
-    if target < 0:
-        return []
     n_out = len(E) - 1
     results: list[DegreeSequence] = []
     profile: list[int] = []

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -458,3 +459,61 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert expected == ["4", "[0, 1, 2, 3, 3, 3]", "4"]
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_covering_scan_text_table(capsys):
+    code, out, err = run(
+        capsys, "covering-scan", "--kappa-min", "14", "--kappa-max", "14"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "kappa     v   d   r  ell  prev   new  source",
+        "   14    48   5   4    4    14    15  Schönheim bound",
+        "   14    49   4   4    0    14    16  Schönheim bound",
+    ]
+    assert len(lines) == 79
+
+
+def test_verify_exhaustive_on_the_empty_graph(capsys, tmp_path):
+    graph_file = tmp_path / "empty.json"
+    graph_file.write_text('{"n": 0}')
+    code, out, err = run(
+        capsys, "verify", "--k", "1", "--graph", str(graph_file), "--exhaustive"
+    )
+    assert (code, out, err) == (0, "worst case over all runs: 0  (script [])\n", "")
+
+
+def test_verify_exhausted_script_exits_2(capsys, tmp_path):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]]}')
+    script_file = tmp_path / "s.json"
+    script_file.write_text('{"deletions": []}')
+    code, out, err = run(
+        capsys, "verify", "--k", "1", "--graph", str(graph_file),
+        "--script", str(script_file),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: deletion script exhausted before the run finished\n"
+
+
+def test_degree_cap_exits_2(capsys):
+    code, out, err = run(
+        capsys, "bound", "--k", "1", "--degrees", "2147483648,2147483648"
+    )
+    assert (code, out, err) == (
+        2, "", "error: degree 2147483648 exceeds cap 2147483647\n"
+    )
+
+
+def test_covering_walk_guard_exits_3(capsys, monkeypatch):
+    # the report of test_covering_command_prints_b_at_large_v under a guard
+    # of 1,000 steps; CI runs a walk past the real guard
+    omega_module = importlib.import_module("greedymax.omega")
+    monkeypatch.setattr(omega_module, "MAX_CHAIN_STEPS", 1000)
+    code, out, err = run(
+        capsys, "covering", "--v", "1000000", "--kappa", "5",
+        "--start", "62600000000",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: chain step 1001 exceeds guard 1000\n"

@@ -2,7 +2,10 @@
 and no traceback, and a JSON request that succeeds prints JSON.  Degree
 lists come in the comma form, as JSON arrays and malformed; no instance has
 more than 8 degrees of at most 512, so each stays under the guards (sum at
-most 2^12) and no example starts a long run."""
+most 2^12) and no example starts a long run.  ``lab precedes``,
+``covering`` (v <= 200, any start below 2^64), ``covering-scan`` (kappa
+5..7), ``construct`` replayed by ``verify --script``, and ``verify`` on
+missing or malformed graph files are fuzzed the same way."""
 
 import io
 import json
@@ -67,3 +70,102 @@ def test_cli_exits_cleanly(fmt, cmd, k, degrees):
     # a Ferrers diagram is its output in every format
     if code == 0 and fmt == "json" and cmd != ["ferrers"]:
         json.loads(out.getvalue())
+
+
+def check(argv):
+    """The checks of ``test_cli_exits_cleanly`` on any argv that starts with
+    ``--format``; returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and argv[1] == "json":
+        json.loads(out.getvalue())
+    return code, out.getvalue()
+
+
+formats = st.sampled_from(["text", "json", "csv"])
+order_8 = st.lists(st.integers(0, 6), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fmt=formats, k=st.integers(0, 8), d=order_8, e=order_8, same=st.booleans())
+def test_lab_precedes_exits_cleanly(fmt, k, d, e, same):
+    if same:  # equal orders, so the guards and the search are reached
+        e = (e * len(d))[: len(d)]
+    check(["--format", fmt, "lab", "precedes", "--k", str(k),
+           "--d", ",".join(map(str, d)), "--e", ",".join(map(str, e))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fmt=formats,
+    v=st.integers(-1, 200),
+    kappa=st.integers(-1, 202),
+    lam=st.integers(-1, 4),
+    start=st.one_of(st.none(), st.integers(-1, 2**64)),
+)
+def test_covering_exits_cleanly(fmt, v, kappa, lam, start):
+    argv = ["--format", fmt, "covering", "--v", str(v), "--kappa", str(kappa),
+            "--lambda", str(lam)]
+    check(argv + ([] if start is None else ["--start", str(start)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fmt=formats, lo=st.integers(4, 7), hi=st.integers(4, 7), lam=st.integers(0, 3))
+def test_covering_scan_exits_cleanly(fmt, lo, hi, lam):
+    check(["--format", fmt, "covering-scan", "--kappa-min", str(lo),
+           "--kappa-max", str(hi), "--lambda", str(lam)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fmt=formats, k=st.integers(0, 8), degrees=lists)
+def test_construct_then_verify_exits_cleanly(tmp_path_factory, fmt, k, degrees):
+    code, out = check(["--format", "json", "construct", "--k", str(k),
+                       "--degrees", ",".join(map(str, degrees))])
+    if code:
+        return
+    witness = tmp_path_factory.mktemp("witness") / "w.json"
+    witness.write_text(out)
+    code, out = check(["--format", fmt, "verify", "--k", str(k),
+                       "--graph", str(witness), "--script", str(witness)])
+    # a witness always replays, to exactly its bound
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["size"] == json.loads(witness.read_text())["b"]
+
+
+# graph files: missing, not JSON, JSON of any shape, or a graph whose vertex
+# count and edges are drawn from the same small integers
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+graph_files = st.one_of(
+    st.none(),
+    st.sampled_from([b"", b"{", b'\xff{"n": 2}', b'{"n": 2, "edges": [[0, 1, 1]]']),
+    json_values.map(lambda value: json.dumps(value).encode()),
+    st.builds(
+        lambda n, edges: json.dumps({"n": n, "edges": edges}).encode(),
+        st.integers(-1, 6),
+        st.lists(st.lists(st.integers(-1, 6), min_size=2, max_size=4), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fmt=formats, k=st.integers(0, 4), graph=graph_files, exhaustive=st.booleans())
+def test_verify_graph_files_exit_cleanly(tmp_path_factory, fmt, k, graph, exhaustive):
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    if graph is not None:  # else the file is missing
+        path.write_bytes(graph)
+    check(["--format", fmt, "verify", "--k", str(k), "--graph", str(path)]
+          + ["--exhaustive"] * exhaustive)

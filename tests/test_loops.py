@@ -89,9 +89,9 @@ def test_enumerate_degrees_match():
 
 
 def test_enumerate_guard():
-    with pytest.raises(LimitError, match=r"order 7 and sum 7 exceeds"):
+    with pytest.raises(LimitError, match=r"^order 7 exceeds guard 6$"):
         list(enumerate_loop_realizations(make_degree_sequence([1] * 7)))
-    with pytest.raises(LimitError, match=r"order 6 and sum 28 exceeds"):
+    with pytest.raises(LimitError, match=r"^degree sum 28 exceeds guard 26$"):
         list(enumerate_loop_realizations(make_degree_sequence([5, 5, 5, 5, 4, 4])))
 
 

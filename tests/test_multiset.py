@@ -38,6 +38,13 @@ def test_make_degree_sequence_rejects_negative():
         make_degree_sequence([1, -2])
 
 
+def test_from_counts_rejects_a_negative_multiplicity():
+    with pytest.raises(InputError, match=r"^negative multiplicity for value 3$"):
+        DegreeSequence.from_counts({1: 2, 3: -1})
+    # a zero count is dropped
+    assert DegreeSequence.from_counts({1: 2, 3: 0}).items == ((1, 2),)
+
+
 def test_is_graphical_examples():
     assert make_degree_sequence([1, 2, 2, 4, 4, 5, 6]).is_graphical()
     assert not make_degree_sequence([3]).is_graphical()

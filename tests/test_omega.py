@@ -1,3 +1,4 @@
+import importlib
 import json
 import time
 
@@ -11,6 +12,9 @@ from greedymax.multiset import MAX_DEGREE_SUM, make_degree_sequence
 from greedymax.omega import b, chain_length, decrement_sequence, omega
 
 D_EX = make_degree_sequence([1, 2, 2, 4, 4, 5, 6])
+
+# the package re-exports the function ``omega`` under the submodule's name
+omega_module = importlib.import_module("greedymax.omega")
 
 
 def test_decrement_sequence_worked_example():
@@ -216,3 +220,28 @@ def test_runtime_scales_near_linearly():
         times.append(time.perf_counter() - start)
     for prev, cur in zip(times, times[1:]):
         assert cur <= 6 * max(prev, 1e-4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_walk_guard_is_exact(monkeypatch, k):
+    # with the guard at g, a walk of `above` steps above k passes when
+    # above <= g and otherwise names step g + 1, whether that step is a
+    # reduce or one in a group phase; the steps at k are not counted
+    corpus = graphical_sequences(6, 16) + [
+        make_degree_sequence([10] * 11),
+        make_degree_sequence([16] * 24 + [3] * 26),
+    ]
+    walks = [
+        (D, chain_length(D, k), sum(1 for T in b(D, k).chain if T.items and T.max_value > k))
+        for D in corpus
+    ]
+    for D, p, above in walks:
+        for guard in range(above + 1):
+            monkeypatch.setattr(omega_module, "MAX_CHAIN_STEPS", guard)
+            if guard == above:
+                assert chain_length(D, k) == p
+            else:
+                with pytest.raises(
+                    LimitError, match=rf"^chain step {guard + 1} exceeds guard {guard}$"
+                ):
+                    chain_length(D, k)

@@ -1,8 +1,9 @@
 """The block-based reduction core against the unit-at-a-time schedule, and
 ``chain_length`` against ``b``, whose chain takes one ``_Blocks.reduce`` per
-step.  The tests named for ``exceeds`` check what the covering test
-decides, whether b(D, k) = n - ``chain_length(D, k)`` exceeds z: at each z
-near b, or through the chain length itself, which fixes it at every z."""
+step.  The tests named for ``exceeds`` check the decision the covering test
+takes from ``chain_length``, whether b(D, k) = n - ``chain_length(D, k)``
+exceeds z: at each z near b, or through the chain length itself, which
+fixes it at every z."""
 
 import importlib
 

@@ -146,6 +146,23 @@ def test_precedes_limit_guard():
         precedes(big, big, 3)
 
 
+def test_precedes_guard_names_the_value():
+    eight = make_degree_sequence([1] * 8)
+    with pytest.raises(LimitError, match=r"^order 8 exceeds guard 7$"):
+        precedes(eight, eight, 1)
+    heavy = make_degree_sequence([7, 7, 7, 7])
+    with pytest.raises(LimitError, match=r"^degree sum 28 exceeds guard 26$"):
+        precedes(heavy, heavy, 1)
+
+
+def test_precedes_false_after_the_whole_search():
+    # the sums differ by 2, so the parity shortcut does not decide it: the
+    # search reaches {1,1} from {0,0} and stops there
+    assert not precedes(
+        make_degree_sequence([0, 2]), make_degree_sequence([0, 0]), 1
+    )
+
+
 def test_precedes_sum_parity_pruning():
     # sums differing by an odd amount are unreachable
     assert not precedes(
