@@ -7,7 +7,8 @@ does.
 The greedy algorithm repeatedly deletes a vertex of maximum degree until
 the remainder has maximum degree below k; the survivors form a maximal
 k-independent set.  max_worst_case exhausts every legal choice sequence,
-and construct_worst_case builds, for any graphical D, a multigraph plus a
+one connected component at a time, under a budget of search states, and
+construct_worst_case builds, for any graphical D, a multigraph plus a
 deletion script whose survivor count meets the bound from the omega chain
 exactly.  ``realize`` pairs degree stubs in closed form, so neither it nor
 the witness costs more as the degrees grow.
@@ -25,7 +26,12 @@ from .errors import InputError, check_k, check_limit
 from .multiset import MAX_DEGREE_SUM, DegreeSequence
 from .omega import b
 
-WORST_CASE_MAX_ORDER = 9
+# max_worst_case refuses to search a connected component of more vertices,
+# and more component states than the budget in all.  A state costs about
+# 20-90 us up to order 64 (one core of a 2-vCPU VM), so a refused search
+# stops within a few seconds.
+WORST_CASE_MAX_COMPONENT = 64
+WORST_CASE_MAX_STATES = 50_000
 
 Chooser = Callable[[Sequence[int]], int]
 
@@ -211,33 +217,143 @@ def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
     """Exact minimum survivor count over every legal choice sequence of the
     greedy algorithm, with one witnessing deletion script.
 
-    Depth-first search over choice trees, memoized on the surviving vertex
-    set (which determines the residual subgraph exactly)."""
+    The search runs on connected components.  In a run of MAX the maximum
+    degree never rises, so the degrees at deletion are nonincreasing.  If
+    G is the disjoint union of C1 and C2, a run on G restricted to C1 is a
+    legal run on C1, since a vertex of global maximum degree has C1's
+    maximum degree.  Conversely, two legal runs on C1 and C2 merge into a
+    legal run on G: at each step, take the next deletion whose degree is
+    the larger.  So the survivor counts G allows are the sums of those of
+    C1 and C2, and the minimum over G is the sum of the minima.  The
+    witnessing script is built that way too, by merging the component
+    scripts by degree at deletion, highest first.
+
+    A state is one connected component of the alive vertices, as a bitmask
+    over its top-level component, and its minimum is memoised: depth-first
+    search deletes each vertex of maximum degree in turn and splits the
+    rest into components.  A component whose maximum degree is below k
+    keeps all its vertices and is never searched.  LimitError is raised on
+    a searched component of more than WORST_CASE_MAX_COMPONENT vertices,
+    which bounds the cost of a state and the depth of the search, and when
+    the components together search more than WORST_CASE_MAX_STATES states."""
     check_k(k)
-    check_limit("graph order", G.n, WORST_CASE_MAX_ORDER)
-    adj = G.adjacency()
-    memo: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
+    adj, deg = G.adjacency(), G.degrees()
+    seen = [False] * G.n
+    size, states = G.n, 0
+    parts: list[list[tuple[int, int]]] = []
+    # only a component with a vertex of degree k or more is searched
+    for root in range(G.n):
+        if seen[root] or deg[root] < k:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        search = _ComponentSearch(adj, comp, k, states)
+        whole = (1 << len(comp)) - 1
+        size, states = size + search.solve(whole) - len(comp), search.states
+        parts.append(search.script(whole))
+    merged = heapq.merge(*parts, key=lambda pair: -pair[0])
+    return size, [v for _, v in merged]
 
-    def search(alive: frozenset) -> tuple[int, tuple[int, ...]]:
-        if not alive:
-            return 0, ()
-        if alive in memo:
-            return memo[alive]
-        deg = {v: sum(m for u, m in adj[v].items() if u in alive) for v in alive}
-        delta = max(deg.values())
-        if delta < k:
-            return len(alive), ()
-        best: tuple[int, tuple[int, ...]] | None = None
-        for v in sorted(u for u in alive if deg[u] == delta):
-            size, script = search(alive - {v})
-            if best is None or size < best[0]:
-                best = (size, (v,) + script)
+
+class _ComponentSearch:
+    """The worst-case search on one connected component, whose vertices are
+    the bits of a mask in the order of ``comp``, after ``states`` states
+    searched in other components."""
+
+    def __init__(self, adj: list[dict[int, int]], comp: list[int], k: int, states: int):
+        check_limit("connected component order", len(comp), WORST_CASE_MAX_COMPONENT)
+        bit = {v: 1 << i for i, v in enumerate(comp)}
+        # the neighbours of each vertex, grouped by the degree they give it,
+        # and all of them
+        self.groups: list[list[tuple[int, int]]] = []
+        self.reach: list[int] = []
+        for v in comp:
+            masks: dict[int, int] = {}
+            for u, m in adj[v].items():
+                masks[m] = masks.get(m, 0) | bit[u]
+            self.groups.append(list(masks.items()))
+            self.reach.append(sum(masks.values()))
+        self.comp, self.k = comp, k
+        self.what = f"worst-case search in a {len(comp)}-vertex component: component state"
+        # every run on a connected loopless graph leaves a vertex
+        self.floor = int(all(v not in adj[v] for v in comp))
+        # a searched state: (minimum, deleted bit, its degree, components left)
+        self.memo: dict[int, tuple[int, int, int, tuple[int, ...]]] = {}
+        self.states = states
+
+    def split(self, rest: int, i: int) -> tuple[int, ...]:
+        """The connected components of ``rest``, a connected set less its
+        vertex i.  Each holds a neighbour of i, so one flood from each
+        neighbour not yet reached finds them, and a flood that reaches
+        every such neighbour holds all that is left."""
+        if rest in self.memo:
+            return (rest,)
+        reach, out = self.reach, []
+        seeds = reach[i] & rest
+        while rest:
+            comp = frontier = seeds & -seeds
+            while frontier and seeds & ~comp:
+                low = frontier & -frontier
+                frontier ^= low
+                new = reach[low.bit_length() - 1] & rest & ~comp
+                comp |= new
+                frontier |= new
+            if not seeds & ~comp:
+                comp = rest
+            out.append(comp)
+            rest ^= comp
+            seeds &= rest
+        return tuple(out)
+
+    def solve(self, alive: int) -> int:
+        """The minimum survivor count on a connected alive set."""
+        hit = self.memo.get(alive)
+        if hit is not None:
+            return hit[0]
+        delta, tops, rest = 0, [], alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            d = 0
+            for m, mask in self.groups[i]:
+                d += m * (mask & alive).bit_count()
+            if d > delta:
+                delta, tops = d, [i]
+            elif d == delta:
+                tops.append(i)
+        if delta < self.k:
+            return alive.bit_count()
+        self.states += 1
+        check_limit(self.what, self.states, WORST_CASE_MAX_STATES)
+        best = None
+        for i in tops:
+            pieces = self.split(alive ^ 1 << i, i)
+            found = 0
+            for piece in pieces:
+                found += self.solve(piece)
+            if best is None or found < best[0]:
+                best = (found, i, delta, pieces)
+                if found == self.floor:
+                    break
         assert best is not None
-        memo[alive] = best
-        return best
+        self.memo[alive] = best
+        return best[0]
 
-    size, script = search(frozenset(range(G.n)))
-    return size, list(script)
+    def script(self, alive: int) -> list[tuple[int, int]]:
+        """The witnessing deletions on a connected alive set, as (degree,
+        vertex) pairs by nonincreasing degree."""
+        hit = self.memo.get(alive)
+        if hit is None:  # a component that keeps all its vertices
+            return []
+        _, i, delta, pieces = hit
+        rest = heapq.merge(*map(self.script, pieces), key=lambda pair: -pair[0])
+        return [(delta, self.comp[i]), *rest]
 
 
 def construct_worst_case(

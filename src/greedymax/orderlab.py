@@ -3,9 +3,10 @@
 An addition step raises two elements by one (sum +2); a transfer step
 moves a unit from one element to another subject to a side condition on
 k.  D precedes E when D is reachable from E by such steps; reachability
-is decided here by plain breadth-first search, which is exponential and
-guarded accordingly -- these routines are verification oracles for small
-instances, not production decision procedures.
+is decided here by breadth-first search over multiplicity vectors, tuples
+indexed by value, where a step is two index moves.  The search is
+exponential and guarded accordingly -- these routines are verification
+oracles for small instances, not production decision procedures.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def _addition_allowed(x: int, y: int, top: int) -> bool:
 
 
 def _transfer_allowed(x: int, y: int, k: int) -> bool:
-    """Side condition of an (x,y)-transfer."""
-    return x > max(k, y) or x < y <= k
+    """Side condition of an (x,y)-transfer: x > max(k,y) or x < y <= k."""
+    return x > k and x > y or x < y <= k
 
 
 def addition_step(E: DegreeSequence, x: int, y: int) -> DegreeSequence:
@@ -62,63 +63,93 @@ def transfer_step(E: DegreeSequence, x: int, y: int, k: int) -> DegreeSequence:
     return E.replace_one(x, x - 1).replace_one(y - 1, y)
 
 
+def _vector_steps(
+    c: tuple[int, ...], k: int, additions: bool = True
+) -> Iterator[tuple[str, int, int, tuple[int, ...]]]:
+    """The elementary steps on the nonempty multiset with c[v] copies of
+    each value v, as (kind, x, y, result vector), in the order of
+    ``applicable_steps``.  A result that would hold a value past the end of
+    c is left out, and so is every addition when ``additions`` is false.
+
+    A step is two index moves on a copy of c: a first move from x - 1 to x
+    for an addition, from x to x - 1 for a transfer, then from y - 1 to y."""
+    size = len(c)
+    present = [v for v in range(size) if c[v]]
+    top = present[-1]
+    firsts = [("addition", v + 1, v, v + 1) for v in present if v + 1 < size and additions]
+    firsts += [("transfer", v, v, v - 1) for v in present if v]
+    for kind, x, src, dst in firsts:
+        allowed, bound = (
+            (_addition_allowed, top) if kind == "addition" else (_transfer_allowed, k)
+        )
+        mid = list(c)
+        mid[src] -= 1
+        mid[dst] += 1
+        for y in range(1, size):
+            if mid[y - 1] and allowed(x, y, bound):
+                out = mid[:]
+                out[y - 1] -= 1
+                out[y] += 1
+                yield kind, x, y, tuple(out)
+
+
+def _vector(D: DegreeSequence, size: int) -> tuple[int, ...]:
+    """The multiplicities of D indexed by value 0..size-1."""
+    c = [0] * size
+    for v, m in D.items:
+        c[v] = m
+    return tuple(c)
+
+
 def applicable_steps(
     E: DegreeSequence, k: int
 ) -> Iterator[tuple[ElementaryStep, DegreeSequence]]:
-    """All elementary steps applicable to E, with their results."""
+    """All elementary steps applicable to E, with their results: additions
+    by x, then y, ascending, then transfers likewise.  No result holds a
+    value above max(E) + 1, so E's vector has room for all of them; it has
+    max(E) + 2 entries, so this is for small degrees."""
     if len(E) == 0:
         return
-    top = E.max_value
-    # addition steps: x-1 must be present; y up to max(E)+1
-    for x_src, _ in E.items:
-        x = x_src + 1
-        mid = E.replace_one(x_src, x)
-        for y_src, _ in mid.items:
-            y = y_src + 1
-            if _addition_allowed(x, y, top):
-                yield ElementaryStep("addition", x, y), mid.replace_one(y_src, y)
-    # transfer steps: x present and positive
-    for x, _ in E.items:
-        if x == 0:
-            continue
-        mid = E.replace_one(x, x - 1)
-        for y_src, _ in mid.items:
-            y = y_src + 1
-            if _transfer_allowed(x, y, k):
-                yield ElementaryStep("transfer", x, y), mid.replace_one(y_src, y)
+    for kind, x, y, out in _vector_steps(_vector(E, E.max_value + 2), k):
+        yield (ElementaryStep(kind, x, y),
+               DegreeSequence(tuple((v, m) for v, m in enumerate(out) if m)))
 
 
 def precedes(D: DegreeSequence, E: DegreeSequence, k: int) -> bool:
     """Decide reachability of D from E by elementary steps (BFS oracle).
 
-    Exponential in general; refuses instances beyond the declared guards."""
+    The states are multiplicity vectors indexed by value.  Exponential in
+    general; refuses instances beyond the declared guards."""
     check_k(k)
     if len(D) != len(E):
         raise InputError("orders differ")
+    target_sum, e_total = D.total, E.total
     check_limit("order", len(D), PRECEDES_MAX_ORDER)
-    check_limit("degree sum", D.total, PRECEDES_MAX_SUM)
+    check_limit("degree sum", target_sum, PRECEDES_MAX_SUM)
     if D == E:
         return True
     # additions add 2 to the sum, transfers preserve it
-    if D.total < E.total or (D.total - E.total) % 2 != 0:
+    if target_sum < e_total or (target_sum - e_total) % 2 != 0:
         return False
-    target_sum = D.total
     # a transfer never raises the maximum above max(current maximum, k),
-    # and each of the (sum(D) - sum(E))/2 additions raises it by at most 1
-    max_elem = max(E.max_value, k) + (target_sum - E.total) // 2
-    seen = {E}
-    queue = deque([E])
+    # and each of the (sum(D) - sum(E))/2 additions raises it by at most 1;
+    # no value of a state exceeds its sum, which is at most sum(D)
+    max_elem = min(max(E.max_value, k) + (target_sum - e_total) // 2, target_sum)
+    if D.max_value > max_elem:
+        return False
+    goal = _vector(D, max_elem + 1)
+    start = _vector(E, max_elem + 1)
+    seen = {start}
+    queue = deque([(start, e_total)])
     while queue:
-        cur = queue.popleft()
-        for _, nxt in applicable_steps(cur, k):
-            if nxt.total > target_sum or nxt.max_value > max_elem:
-                continue
+        cur, total = queue.popleft()
+        for kind, _, _, nxt in _vector_steps(cur, k, total < target_sum):
             if nxt in seen:
                 continue
-            if nxt == D:
+            if nxt == goal:
                 return True
             seen.add(nxt)
-            queue.append(nxt)
+            queue.append((nxt, total + 2 * (kind == "addition")))
     return False
 
 
@@ -141,6 +172,9 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
     n_out = len(E) - 1
     results: list[DegreeSequence] = []
     profile: list[int] = []
+    # A_0's conjugate profile through column max(A_0) + 1, where it is 0;
+    # no column past that is reached
+    sigma = [a0.sigma(z) for z in range(a0.max_value + 2)]
 
     def extend(z: int, remaining: int, prev: int) -> None:
         if remaining == 0:
@@ -148,7 +182,7 @@ def pseudo_reductions(E: DegreeSequence, k: int) -> list[DegreeSequence]:
             if cand.is_graphical():
                 results.append(cand)
             return
-        cap = min(prev, a0.sigma(z), remaining)
+        cap = min(prev, sigma[z], remaining)
         for col in range(cap, 0, -1):
             # columns are nonincreasing, so at most `col` per later column:
             # unbounded depth is fine because col >= 1 shrinks `remaining`

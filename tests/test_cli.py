@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import greedymax
+from greedymax import graphs
 from greedymax.cli import build_parser, main
 from greedymax.graphs import Multigraph
+from greedymax.multiset import make_degree_sequence
 
 
 def run(capsys, *argv):
@@ -113,13 +115,21 @@ def test_construct_verify_round_trip(capsys, tmp_path):
     assert json.loads(out)["worst_case"] == 4
 
 
-def test_verify_guard_exits_3(capsys, tmp_path):
+def test_verify_guard_exits_3(capsys, tmp_path, monkeypatch):
+    # a connected witness whose search needs 1,039 component states, under
+    # a budget of 1,000; CI runs a search past the real budget
     graph_file = tmp_path / "big.json"
-    graph_file.write_text(json.dumps({"n": 12, "edges": [[0, 1, 1]]}))
+    G, _ = graphs.construct_worst_case(make_degree_sequence([4] * 16), 1)
+    graph_file.write_text(json.dumps(G.to_json()))
+    monkeypatch.setattr(graphs, "WORST_CASE_MAX_STATES", 1000)
     code, _, err = run(
         capsys, "verify", "--k", "1", "--graph", str(graph_file), "--exhaustive"
     )
     assert code == 3
+    assert err == (
+        "error: worst-case search in a 16-vertex component: component state 1001"
+        " exceeds guard 1000\n"
+    )
 
 
 def test_verify_malformed_file_exits_2(capsys, tmp_path):

@@ -4,16 +4,20 @@ lists come in the comma form, as JSON arrays and malformed; no instance has
 more than 8 degrees of at most 512, so each stays under the guards (sum at
 most 2^12) and no example starts a long run.  ``lab precedes``,
 ``covering`` (v <= 200, any start below 2^64), ``covering-scan`` (kappa
-5..7), ``construct`` replayed by ``verify --script``, and ``verify`` on
-missing or malformed graph files are fuzzed the same way."""
+5..7), ``construct`` replayed by ``verify --script``, ``verify`` on
+missing or malformed graph files, and ``verify --exhaustive`` on graphs
+of order up to 70, connected or not, or with up to 2^21 + 1 vertices and
+a few edges, are fuzzed the same way."""
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedymax import graphs
 from greedymax.cli import main
 
 degree = st.integers(0, 512)
@@ -169,3 +173,49 @@ def test_verify_graph_files_exit_cleanly(tmp_path_factory, fmt, k, graph, exhaus
         path.write_bytes(graph)
     check(["--format", fmt, "verify", "--k", str(k), "--graph", str(path)]
           + ["--exhaustive"] * exhaustive)
+
+
+@st.composite
+def search_graphs(draw, max_order=40):
+    """A graph of order 1..max_order with multiplicities 1..3, as (n, edges):
+    random edges alone, or over a random spanning tree, or over a ring
+    where each vertex meets the next two, whose search is long."""
+    n = draw(st.integers(1, max_order))
+    # u and a distinct v = u + shift mod n
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)), st.integers(1, 3))
+    pairs = pair.map(lambda e: (e[0], (e[0] + e[1]) % n, e[2]))
+    edges = draw(st.lists(pairs, max_size=3 * n if n > 1 else 0))
+    shape = draw(st.sampled_from(["random", "tree", "ring"]))
+    if shape == "tree":
+        edges += [(draw(st.integers(0, v - 1)), v, 1) for v in range(1, n)]
+    if shape == "ring" and n > 2:
+        edges += [(v, (v + j) % n, 1) for v in range(n) for j in (1, 2) if (v + j) % n != v]
+    return n, edges
+
+
+def check_exhaustive(tmp_path_factory, fmt, k, n, edges):
+    # the budget of component states is lowered to 500 so that no example
+    # searches for long; CLI tests and CI reach the real one
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    path.write_text(json.dumps({"n": n, "edges": [list(e) for e in edges]}))
+    with mock.patch.object(graphs, "WORST_CASE_MAX_STATES", 500):
+        code, _ = check(["--format", fmt, "verify", "--k", str(k), "--graph", str(path),
+                         "--exhaustive"])
+    assert code in (0, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fmt=formats, k=st.integers(1, 4), graph=st.one_of(search_graphs(), search_graphs(70)))
+def test_verify_exhaustive_exits_cleanly(tmp_path_factory, fmt, k, graph):
+    check_exhaustive(tmp_path_factory, fmt, k, *graph)
+
+
+# a huge vertex count, up to one past the vertex guard, with a few edges;
+# each example builds up to 2^21 adjacency dicts, so there are few
+@settings(max_examples=3, deadline=None)
+@given(fmt=formats, k=st.integers(1, 4),
+       n=st.one_of(st.integers(2**20, 2**21), st.just(2**21 + 1)),
+       edges=st.lists(st.tuples(st.integers(0, 9), st.integers(10, 19), st.integers(1, 3)),
+                      max_size=8))
+def test_verify_exhaustive_on_huge_graphs(tmp_path_factory, fmt, k, n, edges):
+    check_exhaustive(tmp_path_factory, fmt, k, n, edges)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -131,8 +132,14 @@ def test_max_worst_case_bounds_for_example():
 
 
 def test_max_worst_case_guard():
-    G = Multigraph.from_edges(10, [(0, 1, 1)])
-    with pytest.raises(LimitError):
+    # a connected instance over the budget of component states: the witness
+    # of [4]*28 needs more than 50,000 at k = 1, about a second of search
+    G, _ = construct_worst_case(make_degree_sequence([4] * 28), 1)
+    with pytest.raises(
+        LimitError,
+        match=r"^worst-case search in a 28-vertex component: "
+              r"component state 50001 exceeds guard 50000$",
+    ):
         max_worst_case(G, 1)
 
 
@@ -153,6 +160,26 @@ def test_b_is_the_minimum_over_every_loopless_realization():
         for k in (1, 2, 3):
             least = min(max_worst_case(G, k)[0] for G in loopless)
             assert least == b(D, k).b, (D, k)
+
+
+def test_b_sampled_at_orders_10_to_16():
+    """The theorem sampled past the exhaustive orders: on 300 random
+    sequences of order 10..12 and 300 of order 13..16, degrees 0..6 and
+    k = 1..3, the witness's exhaustive worst case is b(D, k) and a rewired
+    realization's is at least b.  About 0.3 s in all; the largest search
+    holds a few hundred component states."""
+    rng = random.Random(16)
+    for lo, hi in ((10, 12), (13, 16)):
+        for _ in range(300):
+            vals = sorted(rng.randint(0, 6) for _ in range(rng.randint(lo, hi)))
+            vals[-1] = min(vals[-1], sum(vals[:-1]))  # graphical: max <= the rest
+            vals[-1] -= sum(vals) % 2
+            D, k = make_degree_sequence(vals), rng.randint(1, 3)
+            bound = b(D, k).b
+            G, _ = construct_worst_case(D, k)
+            assert max_worst_case(G, k)[0] == bound, (D, k)
+            H = random_rewiring(realize(D), 3 * sum(vals) // 2, rng)
+            assert max_worst_case(H, k)[0] >= bound, (D, k, H)
 
 
 def test_construct_worst_case_trivial_input():
