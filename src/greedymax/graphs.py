@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, check_k, check_limit
 from .multiset import MAX_DEGREE_SUM, DegreeSequence
-from .omega import b
+from .omega import chain_runs
 
 # max_worst_case refuses to search a connected component of more vertices,
 # and more component states than the budget in all.  A state costs about
@@ -65,14 +65,20 @@ class Multigraph(NamedTuple):
                 raise InputError(
                     f"edge {item!r}: vertices and multiplicity must be integers"
                 )
-            if u == v and not loops:
+            if u > v:
+                u, v = v, u
+            elif u == v and not loops:
                 raise InputError("loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"vertex out of range in edge ({u},{v})")
+            if u < 0 or v >= n:
+                # named as given, before the swap
+                raise InputError(f"vertex out of range in edge ({item[0]},{item[1]})")
             if m < 1:
                 raise InputError("edge multiplicity must be positive")
-            key = (min(u, v), max(u, v))
-            acc[key] = acc.get(key, 0) + m
+            key = (u, v)
+            if key in acc:
+                acc[key] += m
+            else:
+                acc[key] = m
         return Multigraph(n, tuple(sorted(acc.items())))
 
     def degrees(self) -> list[int]:
@@ -85,11 +91,17 @@ class Multigraph(NamedTuple):
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence.from_values(self.degrees())
 
-    def adjacency(self) -> list[dict[int, int]]:
+    def adjacency(self) -> list[dict[int, int] | None]:
         """adj[u][v] is the degree u takes from v: the multiplicity of uv,
-        or twice the number of loops when v == u."""
-        adj: list[dict[int, int]] = [dict() for _ in range(self.n)]
+        or twice the number of loops when v == u.  Only a vertex with an
+        edge has a row, and adj[u] is None for the others, so a vertex
+        without edges costs one list slot, not a dict."""
+        adj: list[dict[int, int] | None] = [None] * self.n
         for (a, c), m in self.edges:
+            if adj[a] is None:
+                adj[a] = {}
+            if adj[c] is None:
+                adj[c] = {}
             adj[a][c] = adj[c][a] = 2 * m if a == c else m
         return adj
 
@@ -173,9 +185,11 @@ def max_run(
     vertices of degree at least k are filed in ``buckets`` by degree, and
     ``levels`` is a max-heap, stored negated, of the degrees that have a
     bucket.  A vertex whose degree falls is filed again, and ``deg`` tells
-    which entries are still valid.  After O(n + |E|) set-up a deletion
-    costs O(log n) per edge of the deleted vertex plus the length of the
-    candidate list, instead of a scan over all n vertices."""
+    which entries are still valid.  The set-up is one pass over the edges
+    for the adjacency, which holds rows only for the vertices with an edge,
+    and one for the degree list.  A deletion then costs O(log n) per edge
+    of the deleted vertex plus the length of the candidate list, instead of
+    a scan over all n vertices."""
     check_k(k)
     if chooser is None:
         chooser = lowest_index_chooser
@@ -237,20 +251,20 @@ def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:
     which bounds the cost of a state and the depth of the search, and when
     the components together search more than WORST_CASE_MAX_STATES states."""
     check_k(k)
-    adj, deg = G.adjacency(), G.degrees()
-    seen = [False] * G.n
+    adj = G.adjacency()
+    seen: set[int] = set()
     size, states = G.n, 0
     parts: list[list[tuple[int, int]]] = []
     # only a component with a vertex of degree k or more is searched
-    for root in range(G.n):
-        if seen[root] or deg[root] < k:
+    for root, row in enumerate(adj):
+        if row is None or root in seen or sum(row.values()) < k:
             continue
-        seen[root] = True
+        seen.add(root)
         comp = [root]
         for v in comp:
             for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
+                if u not in seen:
+                    seen.add(u)
                     comp.append(u)
         search = _ComponentSearch(adj, comp, k, states)
         whole = (1 << len(comp)) - 1
@@ -265,7 +279,9 @@ class _ComponentSearch:
     the bits of a mask in the order of ``comp``, after ``states`` states
     searched in other components."""
 
-    def __init__(self, adj: list[dict[int, int]], comp: list[int], k: int, states: int):
+    def __init__(
+        self, adj: list[dict[int, int] | None], comp: list[int], k: int, states: int
+    ):
         check_limit("connected component order", len(comp), WORST_CASE_MAX_COMPONENT)
         bit = {v: 1 << i for i, v in enumerate(comp)}
         # the neighbours of each vertex, grouped by the degree they give it,
@@ -362,53 +378,63 @@ def construct_worst_case(
     """Multigraph with degree sequence D plus a legal deletion script whose
     survivor count is exactly the omega-chain bound.
 
-    Takes the reduction chain D = D_0, D_1, ..., D_j of ``b`` down to the
-    last term whose reduction is trivial and realizes D_j directly.  That
-    reduction is degenerate, so deleting a vertex of degree max(D_j) leaves
-    fewer than k edges or every other degree below k: in any realization
-    with vertex 0 of maximum degree, as ``realize``'s, one deletion of
-    vertex 0 finishes the run.  It then rebuilds D_{j-1}, ...,
-    D_0, each level adding a vertex u of degree m = max(D_i), so that the
-    script deletes n-1, ..., n-j and then 0.  Below the top rank, sorted D_i
-    is A_0, D_i less one copy of m, and D_{i+1} is A_0 after m unit
-    decrements.  Each decrement lowers exactly one rank of the sorted
-    sequence, so the rise A_0[r] - D_{i+1}[r] at every rank r is >= 0 and
-    the rises sum to m: u gets an edge of that multiplicity to the vertex
-    that holds rank r.  The vertices are kept in a list sorted by degree
-    (``realize`` labels them by decreasing degree, and each new vertex is
-    the top rank), and one merge walk over the runs of the two terms finds
-    the ranges of equal rise, so a level costs O(d + vertices raised)
-    whatever the size of the degrees.  The witness has at most
+    Takes the reduction chain D = D_0, D_1, ..., D_j down to the last term
+    whose reduction is trivial, each term as the runs ``chain_runs``
+    keeps, and realizes D_j directly.  That reduction is degenerate, so
+    deleting a vertex of degree max(D_j) leaves fewer than k edges or every
+    other degree below k: in any realization with vertex 0 of maximum
+    degree, as ``realize``'s, one deletion of vertex 0 finishes the run.
+    It then rebuilds D_{j-1}, ..., D_0, each level adding a vertex
+    u = n - 1 - i of degree m = max(D_i), so that the script deletes
+    n-1, ..., n-j and then 0.  Below the top rank, sorted D_i is A_0, D_i
+    less one copy of m, and D_{i+1} is A_0 after m unit decrements.  Each
+    decrement lowers exactly one rank of the sorted sequence, so the rise
+    A_0[r] - D_{i+1}[r] at every rank r is >= 0 and the rises sum to m: u
+    gets an edge of that multiplicity to the vertex that holds rank r.
+
+    That vertex is fixed in closed form: ``realize`` labels D_j by falling
+    degree, so rank r < n - j holds vertex n - j - 1 - r, and each new
+    vertex takes the top rank, so rank r >= n - j holds vertex r.  One
+    merge walk over the runs of the two terms finds the ranges of equal
+    rise, so a level costs O(d + vertices raised) for d runs, whatever the
+    size of the degrees.  Each edge is filed under its lower end, the edges
+    of D_j first and then the levels by rising u, so reading the lists by
+    label gives the edges sorted, with no sort.  The witness has at most
     min(sum(D), n(n - 1))/2 edges, so LimitError is raised only when both
     exceed MAX_DEGREE_SUM."""
-    chain = b(D, k).chain
+    terms = chain_runs(D, k)
     if D.order * (D.order - 1) > MAX_DEGREE_SUM:
         check_limit("degree sum", D.total, MAX_DEGREE_SUM)
-    j = len(chain) - 2  # chain[j] is the last nontrivial term
+    j = len(terms) - 2  # terms[j] is the last nontrivial term
     if j < 0:
         return realize(D), []
-    G = realize(chain[j])
-    edges = list(G.edges)
-    order = list(range(G.n - 1, -1, -1))  # the vertices by rising degree
+    n = len(D)
+    top = n - j  # the order of D_j
+    order = [*range(top - 1, -1, -1), *range(top, n)]  # the vertex at each rank
+    # the edges, filed under their lower end
+    below: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
+    for edge in realize(DegreeSequence(terms[j])).edges:
+        below[edge[0][0]].append(edge)
     for i in range(j - 1, -1, -1):
-        u = len(order)  # the new vertex, above every rank of D_{i+1}
+        u = n - 1 - i  # the new vertex, at rank u above every rank of D_{i+1}
         # split each run of D_{i+1} at the run ends of D_i, whose ranks
         # below u are those of A_0
-        above = iter(chain[i].items)
+        above = iter(terms[i])
         a = a_end = r = 0
-        for c, count in chain[i + 1].items:
+        for c, count in terms[i + 1]:
             c_end = r + count
             while r < c_end:
                 if r == a_end:
                     a, more = next(above)
                     a_end += more
-                stop = min(a_end, c_end)
+                stop = a_end if a_end < c_end else c_end
                 if a > c:
-                    edges.extend([((v, u), a - c) for v in order[r:stop]])
+                    rise = a - c
+                    for v in order[r:stop]:
+                        below[v].append(((v, u), rise))
                 r = stop
-        order.append(u)
-    script = list(range(len(D) - 1, len(D) - 1 - j, -1)) + [0]
-    return Multigraph(len(D), tuple(sorted(edges))), script
+    script = list(range(n - 1, top - 1, -1)) + [0]
+    return Multigraph(n, tuple([edge for edges in below for edge in edges])), script
 
 
 def random_rewiring(

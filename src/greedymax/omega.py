@@ -18,7 +18,9 @@ distinct values whatever s is.  Writing the schedule out costs its
 characters plus one int-to-string conversion per hundred levels of a
 segment; a countdown is written once and repeated.
 
-``b`` builds every term of the chain, one ``_Blocks.reduce`` a step.
+``chain_runs`` builds the runs of every term of the chain, one
+``_Blocks.reduce`` a step; ``b`` keeps them as ``DegreeSequence`` terms,
+and ``graphs.construct_worst_case`` reads them as they are.
 ``chain_length`` returns only the number of steps p, so b = n - p, and
 builds no term: where a balanced top group above k absorbs the steps it
 takes them as an integer recurrence in the group's size and sum, and once
@@ -73,9 +75,10 @@ class _Blocks:
         """Largest element, 0 when no element is positive."""
         return self.blocks[-1][0] if self.blocks else 0
 
-    def sequence(self) -> DegreeSequence:
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The (value, multiplicity) runs of the state, zeros included."""
         items = tuple(self.blocks)
-        return DegreeSequence(((0, self.zeros),) + items if self.zeros else items)
+        return ((0, self.zeros),) + items if self.zeros else items
 
     def reduce(self) -> bool:
         """One application of the operator, in place; the one step that
@@ -266,7 +269,7 @@ def omega(D: DegreeSequence, k: int) -> DegreeSequence:
     if not D.items:
         raise InputError("cannot reduce the empty sequence")
     state.reduce()
-    return state.sequence()
+    return DegreeSequence(state.runs())
 
 
 def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
@@ -298,24 +301,35 @@ def decrement_sequence(D: DegreeSequence, k: int) -> DecrementTrace:
     segments += [(min(x, k), 0, 1, n) for x, n in items if x]
     return DecrementTrace(
         k=k, input=D, m=m, s=D.total - m, segments=tuple(segments),
-        omega=state.sequence(), degenerate=degenerate,
+        omega=DegreeSequence(state.runs()), degenerate=degenerate,
     )
+
+
+def chain_runs(D: DegreeSequence, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """The runs of every term of the reduction chain of D, down to the
+    first trivial term: the chain of ``b`` without a ``DegreeSequence`` per
+    term.
+
+    Each step costs O(d) for a term with d distinct values (the blocks the
+    schedule touches, plus the copy of the runs kept), so a chain of p <= n
+    steps costs O(p * d), whatever the size of the degrees."""
+    state = _Blocks(D, k)  # one block state carried along the whole chain
+    terms = [D.items]
+    while state.top >= k:
+        state.reduce()
+        terms.append(state.runs())
+    return terms
 
 
 def b(D: DegreeSequence, k: int) -> BTrace:
     """Worst-case greedy k-independent set size over realizations of D.
 
-    Runs the reduction chain until the first trivial term.  Each step costs
-    O(d) for a term with d distinct values (the blocks the schedule touches,
-    plus the copy kept in the chain), so a chain of p <= n steps costs
-    O(p * d), whatever the size of the degrees."""
-    state = _Blocks(D, k)  # one block state carried along the whole chain
-    chain = [D]
-    while state.top >= k:
-        state.reduce()
-        chain.append(state.sequence())
+    Runs the reduction chain until the first trivial term, as
+    ``chain_runs``, and keeps each term as a ``DegreeSequence``."""
+    terms = chain_runs(D, k)
+    chain = (D, *map(DegreeSequence, terms[1:]))
     p = len(chain) - 1
-    return BTrace(k=k, chain=tuple(chain), p=p, b=D.order - p)
+    return BTrace(k=k, chain=chain, p=p, b=D.order - p)
 
 
 def chain_length(D: DegreeSequence, k: int) -> int:

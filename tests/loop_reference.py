@@ -58,7 +58,7 @@ def alpha_k_bruteforce(G, k):
             chosen = set(subset)
             ok = True
             for v in subset:
-                d = sum(m for u, m in adj[v].items() if u in chosen)
+                d = sum(m for u, m in (adj[v] or {}).items() if u in chosen)
                 if d >= k:
                     ok = False
                     break

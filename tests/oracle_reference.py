@@ -24,7 +24,7 @@ def max_worst_case(G, k):
             return 0, ()
         if alive in memo:
             return memo[alive]
-        deg = {v: sum(m for u, m in adj[v].items() if u in alive) for v in alive}
+        deg = {v: sum(m for u, m in (adj[v] or {}).items() if u in alive) for v in alive}
         delta = max(deg.values())
         if delta < k:
             return len(alive), ()

@@ -1,8 +1,10 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
+import greedy_reference as ref
 from conftest import graphical_sequences, random_graphical
 from greedymax.cli import main
 from greedymax.errors import InputError, LimitError
@@ -18,7 +20,7 @@ from greedymax.graphs import (
     realize,
 )
 from greedymax.loops import enumerate_loop_realizations
-from greedymax.multiset import make_degree_sequence
+from greedymax.multiset import MAX_DEGREE_SUM, make_degree_sequence
 from greedymax.omega import b
 
 D_EX = make_degree_sequence([1, 2, 2, 4, 4, 5, 6])
@@ -39,13 +41,58 @@ def test_degree_sequence_of_witness():
     assert degree_sequence_of(G) == D_EX
 
 
-def test_multigraph_rejects_loops_and_bad_mult():
-    with pytest.raises(InputError):
-        Multigraph.from_edges(2, [(0, 0, 1)])
-    with pytest.raises(InputError):
-        Multigraph.from_edges(2, [(0, 1, 0)])
-    with pytest.raises(InputError):
-        Multigraph.from_edges(2, [(0, 2, 1)])
+@pytest.mark.parametrize("n, edges, loops, error, message", [
+    pytest.param("3", [], False, InputError, "vertex count '3' must be an integer",
+                 id="string-n"),
+    pytest.param(True, [], False, InputError, "vertex count True must be an integer",
+                 id="bool-n"),
+    pytest.param(-1, [], False, InputError, "vertex count -1 must be nonnegative",
+                 id="negative-n"),
+    pytest.param(MAX_DEGREE_SUM + 1, [], False, LimitError,
+                 f"vertex count {MAX_DEGREE_SUM + 1} exceeds guard {MAX_DEGREE_SUM}",
+                 id="n-over-guard"),
+    pytest.param(3, [(0, 1)], False, InputError,
+                 "edge item (0, 1) must be [u, v, multiplicity]", id="short-item"),
+    pytest.param(3, [[0, 1, 1, 1]], False, InputError,
+                 "edge item [0, 1, 1, 1] must be [u, v, multiplicity]", id="long-item"),
+    pytest.param(3, [(0, 1.0, 1)], False, InputError,
+                 "edge (0, 1.0, 1): vertices and multiplicity must be integers",
+                 id="float-vertex"),
+    pytest.param(3, [(0, 1, True)], False, InputError,
+                 "edge (0, 1, True): vertices and multiplicity must be integers",
+                 id="bool-multiplicity"),
+    pytest.param(3, [(0, 0, 1)], False, InputError, "loops are not allowed", id="loop"),
+    # the loop check comes first
+    pytest.param(3, [(7, 7, 0)], False, InputError, "loops are not allowed",
+                 id="loop-out-of-range"),
+    pytest.param(3, [(7, 7, 1)], True, InputError, "vertex out of range in edge (7,7)",
+                 id="allowed-loop-out-of-range"),
+    # the edge is named as given, not as its sorted key
+    pytest.param(3, [(5, 1, 1)], False, InputError, "vertex out of range in edge (5,1)",
+                 id="out-of-range-reversed"),
+    pytest.param(3, [(1, 3, 1)], False, InputError, "vertex out of range in edge (1,3)",
+                 id="out-of-range"),
+    pytest.param(3, [(2, -1, 1)], False, InputError, "vertex out of range in edge (2,-1)",
+                 id="negative-vertex"),
+    # the range check comes before the multiplicity check
+    pytest.param(3, [(0, 5, 0)], False, InputError, "vertex out of range in edge (0,5)",
+                 id="out-of-range-zero-multiplicity"),
+    pytest.param(3, [(0, 1, 0)], False, InputError, "edge multiplicity must be positive",
+                 id="zero-multiplicity"),
+    pytest.param(3, [(0, 1, 2), (1, 0, -1)], False, InputError,
+                 "edge multiplicity must be positive", id="negative-multiplicity"),
+])
+def test_from_edges_error_messages(n, edges, loops, error, message):
+    with pytest.raises(error) as info:
+        Multigraph.from_edges(n, edges, loops)
+    assert str(info.value) == message
+
+
+def test_from_edges_sums_reversed_and_repeated_edges():
+    G = Multigraph.from_edges(3, [(2, 0, 1), (1, 0, 2), (0, 2, 2), [0, 1, 1], (2, 1, 4)])
+    assert G.edges == (((0, 1), 3), ((0, 2), 3), ((1, 2), 4))
+    H = Multigraph.from_edges(2, [(1, 1, 1), (1, 0, 1), (1, 1, 2)], loops=True)
+    assert H.edges == (((0, 1), 1), ((1, 1), 3))
 
 
 def test_realize_simple_cases():
@@ -103,7 +150,7 @@ def test_max_run_maximality(rng):
         for v, _ in log:
             chosen = set(survivors) | {v}
             degs = {
-                u: sum(m for w, m in adj[u].items() if w in chosen)
+                u: sum(m for w, m in (adj[u] or {}).items() if w in chosen)
                 for u in chosen
             }
             assert max(degs.values()) >= k
@@ -119,6 +166,22 @@ def test_max_worst_case_trivial():
     G = Multigraph.from_edges(4, [(0, 1, 1)])
     size, script = max_worst_case(G, 2)
     assert size == 4 and script == []
+
+
+def test_exhaustive_verify_memory_follows_the_edges(tmp_path, capsys):
+    # 2^21 vertices and one edge: the adjacency has a list slot per vertex
+    # (16 MiB) and two rows; a dict per vertex took over 150 MiB
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"n": 2**21, "edges": [[0, 1, 1]]}))
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--k", "1", "--graph", str(path), "--exhaustive"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.startswith("worst case over all runs: 2097151 ")
+    assert peak < 2**21 * 16
 
 
 def test_max_worst_case_bounds_for_example():
@@ -208,6 +271,7 @@ def test_construct_worst_case_over_the_corpus():
         for k in range(1, 6):
             bound = b(D, k)
             G, script = construct_worst_case(D, k)
+            assert (G, script) == ref.construct_worst_case(D, k)
             assert degree_sequence_of(G) == D
             j = bound.p - 1
             assert script == ([n - 1 - i for i in range(j)] + [0] if j >= 0 else [])

@@ -1,11 +1,12 @@
-"""realize checked by the properties of its stub pairing, and max_run
+"""realize checked by the properties of its stub pairing, max_run
 checked against the plain rescanning version in greedy_reference, on
-realize's graphs, the reference's greedy realizations and rewirings."""
+realize's graphs, the reference's greedy realizations and rewirings, and
+construct_worst_case against the reference's chain-based witness."""
 
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import greedy_reference as ref
@@ -112,3 +113,25 @@ def test_hypothesis_sequences(vals, seed):
     D = make_degree_sequence(vals)
     assume(D.is_graphical())
     assert_matches_reference(D, random.Random(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small=st.lists(st.integers(0, 12), max_size=36),
+    big=st.one_of(st.just([]), st.lists(st.integers(0, 40), min_size=2, max_size=3)),
+    k=st.integers(1, 4),
+)
+# a level above a last term that reduces by the degenerate branch:
+# {2,2,2} at k = 1 reduces to {1,1}, which drops a 1 and leaves a sum of 1,
+# below m + 2k
+@example(small=[2, 2, 2], big=[], k=1)
+@example(small=[0, 1, 1], big=[0, 0, 2], k=1)
+def test_construct_matches_the_reference(small, big, k):
+    # orders up to 40, with zeros and up to three degrees near MAX_DEGREE
+    vals = small + [MAX_DEGREE - x for x in big]
+    if sum(vals) % 2:
+        vals.append(1)
+    assume(vals)
+    D = make_degree_sequence(vals)
+    assume(D.is_graphical())
+    assert construct_worst_case(D, k) == ref.construct_worst_case(D, k)
