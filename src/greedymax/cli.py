@@ -125,13 +125,17 @@ def cmd_verify(args):
         if args.format == "json":
             return json.dumps({"k": args.k, "worst_case": size, "script": script})
         return f"worst case over all runs: {size}  (script {script})"
-    chooser = None
+    chooser, deletions = None, []
     if args.script:
         data = _section(_load_json(args.script), "script")
         if not isinstance(data, dict):
             raise InputError(f"malformed deletion script JSON in {args.script}")
-        chooser = graphs.make_scripted_chooser(data.get("deletions", []))
+        deletions = data.get("deletions", [])
+        chooser = graphs.make_scripted_chooser(deletions)
     survivors, log = graphs.max_run(G, args.k, chooser)
+    if len(log) < len(deletions):
+        left = len(deletions) - len(log)
+        raise InputError(f"deletion script not used up: {left} left after the run finished")
     if args.format == "json":
         return json.dumps({
             "k": args.k,

@@ -20,6 +20,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, check_k, check_limit
@@ -37,17 +38,16 @@ Chooser = Callable[[Sequence[int]], int]
 
 
 class Multigraph(NamedTuple):
-    """Multigraph on vertices 0..n-1; edges keyed by ordered pair u <= v.
-
-    A key (u, u) is a loop and adds 2 to the degree of u."""
+    """Multigraph on vertices 0..n-1: ``edges`` holds sorted (u, v, m) triples,
+    u <= v, one per pair.  A loop (u, u, m) adds 2m to the degree of u."""
 
     n: int
-    edges: tuple[tuple[tuple[int, int], int], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     @staticmethod
     def from_edges(n: int, edges, loops: bool = False) -> "Multigraph":
-        """Build from an iterable of (u, v, mult) items of integers; a loop
-        (u, u) is rejected unless ``loops`` is set.
+        """Build from (u, v, m) items of integers, summing repeated and
+        reversed pairs; a loop (u, u) is rejected unless ``loops`` is set.
 
         Raises LimitError when n exceeds MAX_DEGREE_SUM: a greedy run
         allocates O(n), and a graph file may state any n."""
@@ -56,7 +56,7 @@ class Multigraph(NamedTuple):
         if n < 0:
             raise InputError(f"vertex count {n} must be nonnegative")
         check_limit("vertex count", n, MAX_DEGREE_SUM)
-        acc: dict[tuple[int, int], int] = {}
+        acc: dict[tuple[int, int], tuple[int, int, int]] = {}
         for item in edges:
             if len(item) != 3:
                 raise InputError(f"edge item {item!r} must be [u, v, multiplicity]")
@@ -75,15 +75,13 @@ class Multigraph(NamedTuple):
             if m < 1:
                 raise InputError("edge multiplicity must be positive")
             key = (u, v)
-            if key in acc:
-                acc[key] += m
-            else:
-                acc[key] = m
-        return Multigraph(n, tuple(sorted(acc.items())))
+            acc[key] = (u, v, m + acc[key][2] if key in acc else m)
+        # the keys are distinct, so the sort never compares m
+        return Multigraph(n, tuple(sorted(acc.values())))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
-        for (a, c), m in self.edges:
+        for a, c, m in self.edges:
             deg[a] += m
             deg[c] += m
         return deg
@@ -97,7 +95,7 @@ class Multigraph(NamedTuple):
         edge has a row, and adj[u] is None for the others, so a vertex
         without edges costs one list slot, not a dict."""
         adj: list[dict[int, int] | None] = [None] * self.n
-        for (a, c), m in self.edges:
+        for a, c, m in self.edges:
             if adj[a] is None:
                 adj[a] = {}
             if adj[c] is None:
@@ -106,7 +104,7 @@ class Multigraph(NamedTuple):
         return adj
 
     def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[u, v, m] for (u, v), m in self.edges]}
+        return {"n": self.n, "edges": list(map(list, self.edges))}
 
     @staticmethod
     def from_json(data: dict, loops: bool = False) -> "Multigraph":
@@ -137,11 +135,11 @@ def realize(D: DegreeSequence) -> Multigraph:
     ends = list(accumulate(d for d, c in reversed(D.items) if d for _ in range(c)))
     half = D.total // 2
     # u holds stub i and v holds stub i + half; both only move up
-    edges: list[tuple[tuple[int, int], int]] = []
+    edges: list[tuple[int, int, int]] = []
     i, u, v = 0, 0, bisect_right(ends, half)
     while i < half:
         stop = min(ends[u], ends[v] - half)
-        edges.append(((u, v), stop - i))
+        edges.append((u, v, stop - i))
         i = stop
         if ends[u] == stop:
             u += 1
@@ -397,11 +395,12 @@ def construct_worst_case(
     vertex takes the top rank, so rank r >= n - j holds vertex r.  One
     merge walk over the runs of the two terms finds the ranges of equal
     rise, so a level costs O(d + vertices raised) for d runs, whatever the
-    size of the degrees.  Each edge is filed under its lower end, the edges
-    of D_j first and then the levels by rising u, so reading the lists by
-    label gives the edges sorted, with no sort.  The witness has at most
-    min(sum(D), n(n - 1))/2 edges, so LimitError is raised only when both
-    exceed MAX_DEGREE_SUM."""
+    size of the degrees.  The edges of D_j, then of each level by rising u,
+    go into one list, which a stable sort on the lower end alone sorts: at
+    each lower end the edges of D_j come sorted and end below n - j, and the
+    level edges follow by rising u.  The witness has at most min(sum(D),
+    n(n - 1))/2 edges, so LimitError is raised only when both exceed
+    MAX_DEGREE_SUM."""
     terms = chain_runs(D, k)
     if D.order * (D.order - 1) > MAX_DEGREE_SUM:
         check_limit("degree sum", D.total, MAX_DEGREE_SUM)
@@ -411,10 +410,7 @@ def construct_worst_case(
     n = len(D)
     top = n - j  # the order of D_j
     order = [*range(top - 1, -1, -1), *range(top, n)]  # the vertex at each rank
-    # the edges, filed under their lower end
-    below: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
-    for edge in realize(DegreeSequence(terms[j])).edges:
-        below[edge[0][0]].append(edge)
+    edges = list(realize(DegreeSequence(terms[j])).edges)
     for i in range(j - 1, -1, -1):
         u = n - 1 - i  # the new vertex, at rank u above every rank of D_{i+1}
         # split each run of D_{i+1} at the run ends of D_i, whose ranks
@@ -430,11 +426,11 @@ def construct_worst_case(
                 stop = a_end if a_end < c_end else c_end
                 if a > c:
                     rise = a - c
-                    for v in order[r:stop]:
-                        below[v].append(((v, u), rise))
+                    edges += [(v, u, rise) for v in order[r:stop]]
                 r = stop
     script = list(range(n - 1, top - 1, -1)) + [0]
-    return Multigraph(n, tuple([edge for edges in below for edge in edges])), script
+    edges.sort(key=itemgetter(0))
+    return Multigraph(n, tuple(edges)), script
 
 
 def random_rewiring(
@@ -443,7 +439,7 @@ def random_rewiring(
     """Degree-preserving perturbation: repeated 2-edge swaps
     (u,v),(x,y) -> (u,x),(v,y), rejecting swaps that would create loops."""
     slots: list[tuple[int, int]] = []
-    for (u, v), m in G.edges:
+    for u, v, m in G.edges:
         slots.extend([(u, v)] * m)
     for _ in range(steps):
         if len(slots) < 2:

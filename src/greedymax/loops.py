@@ -5,8 +5,8 @@ k-independence number over all realizations of a degree sequence has a
 closed form.  This module provides that closed form, the extremal
 construction attaining it, a brute-force independence oracle, and a
 labeled enumeration of all realizations for cross-checking.  Its graphs
-are ``graphs.Multigraph`` values whose keys (u, u) are loops; a loop graph
-is read with ``Multigraph.from_json(data, loops=True)``.
+are ``graphs.Multigraph`` values whose edges (u, u, m) are loops; a loop
+graph is read with ``Multigraph.from_json(data, loops=True)``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def alpha_k_bruteforce(G: Multigraph, k: int) -> int:
     check_limit("order", G.n, BRUTEFORCE_MAX_ORDER)
     # rows[v][u] is the degree v takes from u, as in Multigraph.adjacency
     rows = [[0] * G.n for _ in range(G.n)]
-    for (a, c), m in G.edges:
+    for a, c, m in G.edges:
         rows[a][c] = rows[c][a] = 2 * m if a == c else m
     verts = [v for v in range(G.n) if rows[v][v] < k]
     for size in range(len(verts), 0, -1):
@@ -89,7 +89,7 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[Multigraph]:
         return
     if n < 2:
         # no vertex, or one whose degree is all loops
-        yield Multigraph(n, (((0, 0), D.total // 2),) if D.total else ())
+        yield Multigraph(n, ((0, 0, D.total // 2),) if D.total else ())
         return
 
     def fill(i: int, residual: list[int], edges: tuple) -> Iterator[Multigraph]:
@@ -97,22 +97,22 @@ def enumerate_loop_realizations(D: DegreeSequence) -> Iterator[Multigraph]:
         r, *mids, last = residual
         for loops in range(r // 2 + 1):
             free = r - 2 * loops
-            head = edges + (((i, i), loops),) if loops else edges
+            head = edges + ((i, i, loops),) if loops else edges
             if not mids:
                 # row n-2 ends with its edge to n-1, and n-1 closes with
                 # loops: free + last is even, as the total is
                 close = last - free
                 if close >= 0:
-                    row = head + (((i, i + 1), free),) if free else head
+                    row = head + ((i, i + 1, free),) if free else head
                     if close:
-                        row += (((i + 1, i + 1), close // 2),)
+                        row += ((i + 1, i + 1, close // 2),)
                     yield Multigraph(n, row)
                 continue
             for ms in product(*[range(min(free, c) + 1) for c in mids]):
                 forced = free - sum(ms)
                 if 0 <= forced <= last:
                     ms += (forced,)
-                    row = [((i, j), m) for j, m in enumerate(ms, i + 1) if m]
+                    row = [(i, j, m) for j, m in enumerate(ms, i + 1) if m]
                     rest = [c - m for c, m in zip(residual[1:], ms)]
                     yield from fill(i + 1, rest, head + tuple(row))
 

@@ -9,9 +9,9 @@ no code with the degree buckets of ``greedymax.graphs.max_run``, which the
 differential tests compare against it; the greedy realizations are extra
 base graphs for that comparison.  ``construct_worst_case`` builds the
 witness from the ``DegreeSequence`` terms of ``b``, keeps the vertices in
-a list sorted by degree and sorts the edges at the end; the package's
-version, which files each edge under its lower end instead, must return
-the same graph and script.
+a list sorted by degree and sorts the edges at the end on the whole
+triple; the package's version, which sorts on the lower end alone, must
+return the same graph and script.
 """
 
 from greedymax.errors import InputError
@@ -33,11 +33,11 @@ def realize(D):
         if not order or residual[order[0]] == 0:
             break
         u, v = order[0], order[1]
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         edges[key] = edges.get(key, 0) + 1
         residual[u] -= 1
         residual[v] -= 1
-    return Multigraph(n, tuple(sorted(edges.items())))
+    return Multigraph(n, tuple(sorted((*key, m) for key, m in edges.items())))
 
 
 def max_run(G, k, chooser=None):
@@ -78,7 +78,7 @@ def construct_worst_case(D, k):
     for i in range(j - 1, -1, -1):
         u = len(order)
         rises = [a - c for a, c in zip(chain[i].values(), chain[i + 1].values())]
-        edges += [((v, u), rise) for v, rise in zip(order, rises) if rise]
+        edges += [(v, u, rise) for v, rise in zip(order, rises) if rise]
         order.append(u)
     script = list(range(len(D) - 1, len(D) - 1 - j, -1)) + [0]
     return Multigraph(len(D), tuple(sorted(edges))), script

@@ -28,7 +28,7 @@ def enumerate_loop_realizations(D):
         if idx == len(pairs):
             if all(r == 0 for r in residual):
                 yield Multigraph.from_edges(
-                    n, [(u, v, m) for (u, v), m in assignment.items() if m],
+                    n, [(*key, m) for key, m in assignment.items() if m],
                     loops=True,
                 )
             return

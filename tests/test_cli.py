@@ -507,6 +507,22 @@ def test_verify_exhausted_script_exits_2(capsys, tmp_path):
     assert err == "error: deletion script exhausted before the run finished\n"
 
 
+def test_verify_leftover_script_exits_2(capsys, tmp_path):
+    # a construct output whose script runs on after MAX has stopped, with
+    # a vertex the graph does not have
+    code, out, err = run(capsys, "--format", "json", "construct", "--k", "3",
+                         "--degrees", "1,2,2,4,4,5,6")
+    assert (code, err) == (0, "")
+    witness = json.loads(out)
+    witness["script"]["deletions"] += [1, 2, 99]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "verify", "--k", "3", "--graph", str(path),
+                         "--script", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: deletion script not used up: 3 left after the run finished\n"
+
+
 def test_degree_cap_exits_2(capsys):
     code, out, err = run(
         capsys, "bound", "--k", "1", "--degrees", "2147483648,2147483648"

@@ -90,14 +90,14 @@ def test_from_edges_error_messages(n, edges, loops, error, message):
 
 def test_from_edges_sums_reversed_and_repeated_edges():
     G = Multigraph.from_edges(3, [(2, 0, 1), (1, 0, 2), (0, 2, 2), [0, 1, 1], (2, 1, 4)])
-    assert G.edges == (((0, 1), 3), ((0, 2), 3), ((1, 2), 4))
+    assert G.edges == ((0, 1, 3), (0, 2, 3), (1, 2, 4))
     H = Multigraph.from_edges(2, [(1, 1, 1), (1, 0, 1), (1, 1, 2)], loops=True)
-    assert H.edges == (((0, 1), 1), ((1, 1), 3))
+    assert H.edges == ((0, 1, 1), (1, 1, 3))
 
 
 def test_realize_simple_cases():
-    assert realize(make_degree_sequence([1, 1])).edges == (((0, 1), 1),)
-    assert realize(make_degree_sequence([2, 2])).edges == (((0, 1), 2),)
+    assert realize(make_degree_sequence([1, 1])).edges == ((0, 1, 1),)
+    assert realize(make_degree_sequence([2, 2])).edges == ((0, 1, 2),)
     assert realize(make_degree_sequence([0, 0, 0])).edges == ()
 
 
@@ -184,6 +184,22 @@ def test_exhaustive_verify_memory_follows_the_edges(tmp_path, capsys):
     assert peak < 2**21 * 16
 
 
+def test_witness_memory_per_edge():
+    # 350 vertices of degree 250 at k = 1: 43,750 edges, built as one list
+    # of (u, v, m) triples and sorted on the lower end.  About 85 bytes an
+    # edge at the peak: the bound has room for another Python version, but
+    # not for a second tuple per edge or a list per vertex (about 137)
+    D = make_degree_sequence([250] * 350)
+    tracemalloc.start()
+    try:
+        G, _ = construct_worst_case(D, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(G.edges) == 43_750
+    assert peak < 110 * len(G.edges)
+
+
 def test_max_worst_case_bounds_for_example():
     for G in (realize(D_EX), construct_worst_case(D_EX, 3)[0]):
         size, script = max_worst_case(G, 3)
@@ -218,7 +234,7 @@ def test_b_is_the_minimum_over_every_loopless_realization():
     for D in graphical_sequences(6, 18):
         loopless = [
             G for G in enumerate_loop_realizations(D)
-            if all(u != v for (u, v), _ in G.edges)
+            if all(u != v for u, v, _ in G.edges)
         ]
         for k in (1, 2, 3):
             least = min(max_worst_case(G, k)[0] for G in loopless)
@@ -291,6 +307,8 @@ def test_random_rewiring_preserves_degrees(rng):
 def test_multigraph_json_round_trip():
     G = Multigraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
     assert Multigraph.from_json(G.to_json()) == G
+    # the stored edges are the items from_edges reads
+    assert Multigraph.from_edges(G.n, G.edges) == G
     with pytest.raises(InputError):
         Multigraph.from_json({"edges": []})
 

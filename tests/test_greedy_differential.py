@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import greedy_reference as ref
 from conftest import graphical_sequences, random_graphical
 from greedymax.graphs import (
+    Multigraph,
     construct_worst_case,
     make_scripted_chooser,
     max_run,
@@ -46,7 +47,7 @@ def assert_runs_match(G, k, rng):
 def assert_realizes(D, G):
     """G is loopless with the degrees of D, nonincreasing by label, and its
     edges are sorted, distinct and at most one per positive degree."""
-    keys = [key for key, _ in G.edges]
+    keys = [(u, v) for u, v, _ in G.edges]
     assert all(u < v for u, v in keys)
     assert G.degrees() == sorted(D.values(), reverse=True)
     assert keys == sorted(set(keys))
@@ -134,4 +135,6 @@ def test_construct_matches_the_reference(small, big, k):
     assume(vals)
     D = make_degree_sequence(vals)
     assume(D.is_graphical())
-    assert construct_worst_case(D, k) == ref.construct_worst_case(D, k)
+    G, script = construct_worst_case(D, k)
+    assert (G, script) == ref.construct_worst_case(D, k)
+    assert Multigraph.from_edges(G.n, G.edges) == G

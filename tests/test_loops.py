@@ -74,7 +74,7 @@ def test_enumerate_single_edge():
 def test_enumerate_single_loop():
     outs = list(enumerate_loop_realizations(make_degree_sequence([2])))
     assert len(outs) == 1
-    assert outs[0].edges == (((0, 0), 1),)
+    assert outs[0].edges == ((0, 0, 1),)
 
 
 def test_enumerate_two_twos():
@@ -141,7 +141,7 @@ def test_bruteforce_matches_the_set_search_on_random_graphs(G, k):
 
 def test_construct_single_even_vertex():
     G = construct_extremal_loop_multigraph(make_degree_sequence([2]), 2)
-    assert G.edges == (((0, 0), 1),)
+    assert G.edges == ((0, 0, 1),)
 
 
 def test_construct_even_k_example():
@@ -170,3 +170,4 @@ def test_construct_rejects_bad_input():
 def test_loop_json_round_trip():
     G = Multigraph.from_edges(3, [(0, 0, 2), (1, 2, 1)], loops=True)
     assert Multigraph.from_json(G.to_json(), loops=True) == G
+    assert Multigraph.from_edges(G.n, G.edges, loops=True) == G

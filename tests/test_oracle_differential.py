@@ -53,7 +53,7 @@ def test_worst_case_on_disjoint_unions(parts, k):
     # merged script replays on the union
     edges, n = [], 0
     for part in parts:
-        edges += [(u + n, v + n, m) for (u, v), m in part.edges]
+        edges += [(u + n, v + n, m) for u, v, m in part.edges]
         n += part.n
     assert_worst_case(Multigraph.from_edges(n, edges), k)
 
@@ -79,7 +79,7 @@ def test_worst_case_guards(monkeypatch):
     # the budget counts the states of every component: the witness of
     # [4]*14 needs 830 at k = 1, and two copies of it 1,660
     G, _ = construct_worst_case(make_degree_sequence([4] * 14), 1)
-    twice = Multigraph.from_edges(28, [(u + s, v + s, m) for s in (0, 14) for (u, v), m in G.edges])
+    twice = Multigraph.from_edges(28, [(u + s, v + s, m) for s in (0, 14) for u, v, m in G.edges])
     monkeypatch.setattr(graphs, "WORST_CASE_MAX_STATES", 1000)
     assert max_worst_case(G, 1)[0] == 3
     with pytest.raises(LimitError, match=r"^worst-case search in a 14-vertex component: "
