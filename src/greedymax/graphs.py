@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -153,76 +153,96 @@ def lowest_index_chooser(candidates: Sequence[int]) -> int:
 
 
 def make_scripted_chooser(script: list[int]) -> Chooser:
-    """Chooser that replays a fixed deletion script (original vertex labels).
-
-    It expects the candidates in ascending order, as max_run passes them."""
+    """Chooser that replays a fixed deletion script (original vertex labels)."""
     if not isinstance(script, list) or any(type(v) is not int for v in script):
         raise InputError("deletion script must be a list of vertex integers")
-    it = iter(script)
+    return _Script(script)
 
-    def choose(candidates: Sequence[int]) -> int:
-        try:
-            v = next(it)
-        except StopIteration:
-            raise InputError("deletion script exhausted before the run finished")
-        i = bisect_left(candidates, v)
-        if i == len(candidates) or candidates[i] != v:
-            raise InputError(f"scripted vertex {v} is not of maximum degree")
+
+class _Script:
+    """A deletion script, which max_run reads without a candidate list."""
+
+    refused = "scripted vertex {} is not of maximum degree"
+
+    def __init__(self, script: list[int]):
+        self.it = iter(script)
+
+    def take(self) -> int:
+        for v in self.it:
+            return v
+        raise InputError("deletion script exhausted before the run finished")
+
+    def __call__(self, candidates: Sequence[int]) -> int:
+        v = self.take()
+        if v not in candidates:
+            raise InputError(self.refused.format(v))
         return v
-
-    return choose
 
 
 def max_run(
     G: Multigraph, k: int, chooser: Chooser | None = None
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """One application of the greedy deletion algorithm.
+    """One application of the greedy deletion algorithm: the surviving
+    vertices and the log of (deleted vertex, degree at deletion), in the
+    original labels.  With no chooser the lowest candidate is deleted; any
+    chooser but a script is given the candidates in ascending order.
 
-    Returns (surviving vertex list, log of (deleted vertex, degree at
-    deletion)).  Vertices keep their original labels throughout.  Alive
-    vertices of degree at least k are filed in ``buckets`` by degree, and
-    ``levels`` is a max-heap, stored negated, of the degrees that have a
-    bucket.  A vertex whose degree falls is filed again, and ``deg`` tells
-    which entries are still valid.  The set-up is one pass over the edges
-    for the adjacency, which holds rows only for the vertices with an edge,
-    and one for the degree list.  A deletion then costs O(log n) per edge
-    of the deleted vertex plus the length of the candidate list, instead of
-    a scan over all n vertices."""
+    It costs O((n + E) log n) on E edges.  One pass over the edges builds
+    the degrees and the neighbour rows.  ``count`` holds the alive vertices
+    at each level (degree) of at least k, and ``tops`` is a max-heap of the
+    levels, stored negated: no degree rises, so an emptied top level is
+    popped for good, and a decrement moves a neighbour between two counts
+    and pushes at most one level.  A scripted vertex is checked against its
+    degree in O(1); otherwise each level keeps a min-heap of the vertices
+    that reached it, and an entry u is popped once deg[u] has left it.
+    Only a chooser's sorted candidates cost the size of the level."""
     check_k(k)
-    if chooser is None:
-        chooser = lowest_index_chooser
-    adj = G.adjacency()
-    deg = G.degrees()
-    buckets: dict[int, list[int]] = {}
+    n = G.n
+    deg = [0] * n
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, c, m in G.edges:
+        deg[a] += m
+        deg[c] += m
+        rows[a].append((c, m))
+        rows[c].append((a, m))
+    heaps: dict[int, list[int]] = {}
     for v, d in enumerate(deg):
         if d >= k:
-            buckets.setdefault(d, []).append(v)
-    levels = [-d for d in buckets]
-    heapq.heapify(levels)
+            heaps.setdefault(d, []).append(v)  # in ascending order, so a heap
+    count = {d: len(heap) for d, heap in heaps.items()}
+    tops = sorted(-d for d in count)
+    scripted = isinstance(chooser, _Script)
     log: list[tuple[int, int]] = []
-    while levels:
-        delta = -heapq.heappop(levels)
-        # no degree rises, so this round leaves no vertex at delta
-        bucket = sorted(v for v in buckets.pop(delta) if deg[v] == delta)
-        while bucket:
-            v = chooser(bucket[:])
-            bucket.remove(v)
-            deg[v] = -1  # deleted: matches no bucket
-            for u, m in adj[v].items():
-                d = deg[u]
-                if d < 0:
-                    continue
-                if d == delta:
-                    del bucket[bisect_left(bucket, u)]
+    while tops:
+        delta = -tops[0]
+        if not count[delta]:
+            heapq.heappop(tops)
+            continue
+        if scripted:
+            v = chooser.take()
+            if not (0 <= v < n and deg[v] == delta):
+                raise InputError(chooser.refused.format(v))
+        else:
+            heap = heaps[delta]
+            while deg[heap[0]] != delta:
+                heapq.heappop(heap)
+            v = heap[0] if chooser is None else chooser(
+                sorted(u for u in heap if deg[u] == delta))
+        deg[v] = -1  # deleted: below every level
+        count[delta] -= 1
+        for u, m in rows[v]:
+            d = deg[u]
+            if d >= k:  # a degree below k is never read again
+                count[d] -= 1
                 deg[u] = d = d - m
                 if d >= k:
-                    if d in buckets:
-                        buckets[d].append(u)
-                    else:
-                        buckets[d] = [u]
-                        heapq.heappush(levels, -d)
-            log.append((v, delta))
-    return [v for v in range(G.n) if deg[v] >= 0], log
+                    count[d] = live = count.get(d, 0) + 1
+                    if live == 1:  # a new level, or one emptied below the top
+                        heapq.heappush(tops, -d)
+                    if not scripted:
+                        heapq.heappush(heaps.setdefault(d, []), u)
+        log.append((v, delta))
+    return [v for v in range(n) if deg[v] >= 0], log
 
 
 def max_worst_case(G: Multigraph, k: int) -> tuple[int, list[int]]:

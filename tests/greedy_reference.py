@@ -5,13 +5,13 @@ These are the plain versions: ``realize`` joins the two largest residual
 degrees one unit edge at a time, re-sorting every vertex each time,
 O(sum(D) * n log n), and ``max_run`` rescans every alive vertex for the
 maximum degree and the candidates, O(n) per deletion.  ``max_run`` shares
-no code with the degree buckets of ``greedymax.graphs.max_run``, which the
-differential tests compare against it; the greedy realizations are extra
-base graphs for that comparison.  ``construct_worst_case`` builds the
-witness from the ``DegreeSequence`` terms of ``b``, keeps the vertices in
-a list sorted by degree and sorts the edges at the end on the whole
-triple; the package's version, which sorts on the lower end alone, must
-return the same graph and script.
+no code with the level counts and heaps of ``greedymax.graphs.max_run``,
+which the differential tests compare against it; the greedy realizations
+are extra base graphs for that comparison.  ``construct_worst_case``
+builds the witness from the ``DegreeSequence`` terms of ``b``, keeps the
+vertices in a list sorted by degree and sorts the edges at the end on the
+whole triple; the package's version, which sorts on the lower end alone,
+must return the same graph and script.
 """
 
 from greedymax.errors import InputError

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -160,6 +161,35 @@ def test_scripted_chooser_rejects_illegal_vertex():
     G = Multigraph.from_edges(2, [(0, 1, 3)])
     with pytest.raises(InputError):
         max_run(G, 1, make_scripted_chooser([5]))
+
+
+@pytest.mark.parametrize("v", [-1, 4, 2**40])
+def test_scripted_label_out_of_range(v):
+    # the top vertex n - 1 has the maximum degree, so a label that wrapped
+    # around the degree list, as -1 would, names it
+    G = Multigraph.from_edges(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)])
+    refused = f"scripted vertex {v} is not of maximum degree"
+    with pytest.raises(InputError) as exc:
+        max_run(G, 1, make_scripted_chooser([v]))
+    assert str(exc.value) == refused
+    # called as a chooser, with the candidates
+    with pytest.raises(InputError) as exc:
+        make_scripted_chooser([v])([3])
+    assert str(exc.value) == refused
+    with pytest.raises(InputError) as exc:
+        max_run(G, 1, make_scripted_chooser([]))
+    assert str(exc.value) == "deletion script exhausted before the run finished"
+
+
+def test_witness_replay_is_linear():
+    # 2^16 ones at k = 1: every vertex is on the top level, where a replay
+    # that scans the candidates at each deletion takes many seconds
+    G, script = construct_worst_case(make_degree_sequence([1] * 2**16), 1)
+    for chooser in (make_scripted_chooser(script), None):
+        start = time.perf_counter()
+        survivors, log = max_run(G, 1, chooser)
+        assert time.perf_counter() - start < 1.0
+        assert len(survivors) == len(log) == 2**15
 
 
 def test_max_worst_case_trivial():

@@ -92,6 +92,25 @@ def test_realize_on_huge_degrees():
         assert_realizes(D, realize(D))
 
 
+def test_runs_match_on_large_top_levels():
+    # hundreds of vertices share the top degree, so the levels hold long
+    # candidate lists and empty and refill below the top over many deletions
+    rng = random.Random(13)
+    matching = Multigraph.from_edges(400, [(2 * i, 2 * i + 1, 1) for i in range(200)])
+    assert_runs_match(matching, 1, rng)
+    sixes = realize(make_degree_sequence([6] * 300))
+    for H in (sixes, random_rewiring(sixes, 3 * len(sixes.edges), rng)):
+        for k in (1, 2, 3, 4):
+            assert_runs_match(H, k, rng)
+    for vals in ([1] * 1000, [3] * 500):
+        for k in (1, 2):
+            G, script = construct_worst_case(make_degree_sequence(vals), k)
+            assert_runs_match(G, k, rng)
+            assert max_run(G, k, make_scripted_chooser(script)) == ref.max_run(
+                G, k, make_scripted_chooser(script)
+            )
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_witness_script_replays_identically(k):
     rng = random.Random(k)
