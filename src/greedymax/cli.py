@@ -23,10 +23,10 @@ import json
 import os
 import sys
 
-from .errors import InputError, LimitError
-from .multiset import parse_degrees, render_ferrers, write_runs
+from .errors import InputError, LimitError, check_limit
+from .multiset import MAX_DEGREE_SUM, parse_degrees, render_ferrers, write_runs
 from .omega import b as omega_b
-from .omega import decrement_sequence, omega
+from .omega import chain_length, decrement_sequence, omega
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,6 +61,12 @@ def _object(**fields) -> str:
 
 def cmd_bound(args):
     D = parse_degrees(args.degrees)
+    n = len(D)
+    # p steps write n + (n - 1) + ... + (n - p) <= n(n + 1)/2 chain entries
+    if n * (n + 1) // 2 > MAX_DEGREE_SUM:
+        p = chain_length(D, args.k)
+        entries = (p + 1) * n - p * (p + 1) // 2
+        check_limit("bound chain entries", entries, MAX_DEGREE_SUM)
     trace = omega_b(D, args.k)
     if args.format == "json":
         return _object(
@@ -125,17 +131,13 @@ def cmd_verify(args):
         if args.format == "json":
             return json.dumps({"k": args.k, "worst_case": size, "script": script})
         return f"worst case over all runs: {size}  (script {script})"
-    chooser, deletions = None, []
+    script = None
     if args.script:
         data = _section(_load_json(args.script), "script")
         if not isinstance(data, dict):
             raise InputError(f"malformed deletion script JSON in {args.script}")
-        deletions = data.get("deletions", [])
-        chooser = graphs.make_scripted_chooser(deletions)
-    survivors, log = graphs.max_run(G, args.k, chooser)
-    if len(log) < len(deletions):
-        left = len(deletions) - len(log)
-        raise InputError(f"deletion script not used up: {left} left after the run finished")
+        script = graphs.make_scripted_chooser(data.get("deletions", []))
+    survivors, log = graphs.max_run(G, args.k, script)
     if args.format == "json":
         return json.dumps({
             "k": args.k,

@@ -4,10 +4,11 @@ worst-case witness.
 These are the plain versions: ``realize`` joins the two largest residual
 degrees one unit edge at a time, re-sorting every vertex each time,
 O(sum(D) * n log n), and ``max_run`` rescans every alive vertex for the
-maximum degree and the candidates, O(n) per deletion.  ``max_run`` shares
-no code with the level counts and heaps of ``greedymax.graphs.max_run``,
-which the differential tests compare against it; the greedy realizations
-are extra base graphs for that comparison.  ``construct_worst_case``
+maximum degree and the candidates, O(n) per deletion, and checks a
+script with its own code.  ``max_run`` shares no code with the level
+counts and heaps of ``greedymax.graphs.max_run``, which the differential
+tests compare against it; the greedy realizations are extra base graphs
+for that comparison.  ``construct_worst_case``
 builds the witness from the ``DegreeSequence`` terms of ``b``, keeps the
 vertices in a list sorted by degree and sorts the edges at the end on the
 whole triple; the package's version, which sorts on the lower end alone,
@@ -15,7 +16,7 @@ must return the same graph and script.
 """
 
 from greedymax.errors import InputError
-from greedymax.graphs import Multigraph, lowest_index_chooser
+from greedymax.graphs import Multigraph
 from greedymax.graphs import realize as stub_realize
 from greedymax.omega import b
 
@@ -40,12 +41,15 @@ def realize(D):
     return Multigraph(n, tuple(sorted((*key, m) for key, m in edges.items())))
 
 
-def max_run(G, k, chooser=None):
-    """(sorted survivors, log of (deleted vertex, degree at deletion))."""
+def max_run(G, k, script=None, pick=min):
+    """(sorted survivors, log of (deleted vertex, degree at deletion)).
+
+    Without a script ``pick`` takes one of the sorted candidates, the
+    lowest by default.  A script names every deletion, and the package's
+    three messages are raised when a scripted vertex is not a candidate,
+    when the script runs out and when deletions are left over."""
     if k < 1:
         raise InputError("k must be a positive integer")
-    if chooser is None:
-        chooser = lowest_index_chooser
     adj = G.adjacency()
     deg = G.degrees()
     alive = set(range(G.n))
@@ -55,12 +59,22 @@ def max_run(G, k, chooser=None):
         if delta < k:
             break
         candidates = sorted(v for v in alive if deg[v] == delta)
-        v = chooser(candidates)
+        if script is None:
+            v = pick(candidates)
+        elif len(log) == len(script):
+            raise InputError("deletion script exhausted before the run finished")
+        else:
+            v = script[len(log)]
+            if v not in candidates:
+                raise InputError(f"scripted vertex {v} is not of maximum degree")
         alive.remove(v)
         for u, m in (adj[v] or {}).items():
             if u in alive:
                 deg[u] -= m
         log.append((v, delta))
+    if script is not None and len(log) < len(script):
+        left = len(script) - len(log)
+        raise InputError(f"deletion script not used up: {left} left after the run finished")
     return sorted(alive), log
 
 

@@ -523,6 +523,19 @@ def test_verify_leftover_script_exits_2(capsys, tmp_path):
     assert err == "error: deletion script not used up: 3 left after the run finished\n"
 
 
+def test_bound_output_guard_exits_3(capsys):
+    # the staircase 1..n at k = 1 writes about n^2/2 chain entries: refused
+    # from the chain length alone past 2^21, printed in full below it
+    staircase = lambda n: ",".join(map(str, range(1, n + 1)))
+    code, out, err = run(capsys, "bound", "--k", "1", "--degrees", staircase(12000))
+    assert (code, out) == (3, "")
+    assert err == "error: bound chain entries 72005955 exceeds guard 2097152\n"
+    code, out, err = run(capsys, "bound", "--k", "1", "--degrees", staircase(2047))
+    assert (code, err) == (0, "")
+    assert out.startswith("b = 8  (p = 2039, n = 2047)\n")
+    assert out.endswith("  chain[2039] = {0,0,0,0,0,0,0,0}\n")
+
+
 def test_degree_cap_exits_2(capsys):
     code, out, err = run(
         capsys, "bound", "--k", "1", "--degrees", "2147483648,2147483648"

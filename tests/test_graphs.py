@@ -13,7 +13,6 @@ from greedymax.graphs import (
     Multigraph,
     construct_worst_case,
     degree_sequence_of,
-    lowest_index_chooser,
     make_scripted_chooser,
     max_run,
     max_worst_case,
@@ -172,22 +171,22 @@ def test_scripted_label_out_of_range(v):
     with pytest.raises(InputError) as exc:
         max_run(G, 1, make_scripted_chooser([v]))
     assert str(exc.value) == refused
-    # called as a chooser, with the candidates
-    with pytest.raises(InputError) as exc:
-        make_scripted_chooser([v])([3])
-    assert str(exc.value) == refused
     with pytest.raises(InputError) as exc:
         max_run(G, 1, make_scripted_chooser([]))
     assert str(exc.value) == "deletion script exhausted before the run finished"
+    # deleting the top vertex ends the run, so v is left over
+    with pytest.raises(InputError) as exc:
+        max_run(G, 1, make_scripted_chooser([3, v]))
+    assert str(exc.value) == "deletion script not used up: 1 left after the run finished"
 
 
 def test_witness_replay_is_linear():
     # 2^16 ones at k = 1: every vertex is on the top level, where a replay
     # that scans the candidates at each deletion takes many seconds
     G, script = construct_worst_case(make_degree_sequence([1] * 2**16), 1)
-    for chooser in (make_scripted_chooser(script), None):
+    for replayed in (make_scripted_chooser(script), None):
         start = time.perf_counter()
-        survivors, log = max_run(G, 1, chooser)
+        survivors, log = max_run(G, 1, replayed)
         assert time.perf_counter() - start < 1.0
         assert len(survivors) == len(log) == 2**15
 
@@ -341,10 +340,6 @@ def test_multigraph_json_round_trip():
     assert Multigraph.from_edges(G.n, G.edges) == G
     with pytest.raises(InputError):
         Multigraph.from_json({"edges": []})
-
-
-def test_lowest_index_chooser():
-    assert lowest_index_chooser([4, 2, 7]) == 2
 
 
 def test_construct_long_chain_without_recursion(capsys):

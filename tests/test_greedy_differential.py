@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import greedy_reference as ref
 from conftest import graphical_sequences, random_graphical
+from greedymax.errors import InputError
 from greedymax.graphs import (
     Multigraph,
     construct_worst_case,
@@ -22,26 +23,23 @@ from greedymax.graphs import (
 from greedymax.multiset import MAX_DEGREE, make_degree_sequence
 
 
-def highest_index_chooser(candidates):
-    # the last entry, so a candidate list out of ascending order shows
-    return candidates[-1]
-
-
-def recording_chooser(rng, script):
-    """Random legal choices, appended to script."""
-    def choose(candidates):
-        v = rng.choice(candidates)
-        script.append(v)
-        return v
-    return choose
+def outcome(run, G, k, script):
+    try:
+        return run(G, k, script)
+    except InputError as exc:
+        return str(exc)
 
 
 def assert_runs_match(G, k, rng):
-    for chooser in (None, highest_index_chooser):
-        assert max_run(G, k, chooser) == ref.max_run(G, k, chooser)
-    script: list[int] = []
-    expected = ref.max_run(G, k, recording_chooser(rng, script))
-    assert max_run(G, k, make_scripted_chooser(script)) == expected
+    """The lowest-index run, then the reference's highest-index and random
+    runs replayed as scripts: whole, truncated and with a label added."""
+    assert max_run(G, k) == ref.max_run(G, k)
+    for pick in (max, rng.choice):
+        expected = ref.max_run(G, k, pick=pick)
+        script = [v for v, _ in expected[1]]
+        assert max_run(G, k, make_scripted_chooser(script)) == expected
+        for edited in (script[:-1], script + [rng.randint(-1, G.n)]):
+            assert outcome(max_run, G, k, edited) == outcome(ref.max_run, G, k, edited)
 
 
 def assert_realizes(D, G):
